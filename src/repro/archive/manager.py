@@ -65,7 +65,7 @@ from repro.archive.manifest import (
     MemoryManifestStore,
 )
 from repro.core.config import BackupConfig
-from repro.core.incremental import validate_chain
+from repro.core.incremental import overlay_chain, validate_chain
 from repro.errors import (
     BackupError,
     ChainPinnedError,
@@ -75,7 +75,7 @@ from repro.errors import (
 )
 from repro.ids import LSN, PageId
 from repro.obs import events as ev
-from repro.recovery.parallel_redo import make_replayer
+from repro.recovery.pipeline import run_recovery
 from repro.recovery.redo import contains_poison
 from repro.storage.backup_db import BackupDatabase
 
@@ -387,21 +387,15 @@ class ArchiveManager:
         # damaged in *every* copy has no intact source: merging would
         # launder the loss into a "clean" image, so refuse and demand a
         # heal/quarantine pass first.
-        overlay: Dict[PageId, object] = {}
-        damaged_anywhere = set()
-        for backup in chain:
-            damaged = set(backup.damaged_pages())
-            damaged_anywhere |= damaged
-            for pid, version in backup.pages().items():
-                if pid in damaged:
-                    continue
-                overlay[pid] = version
-        lost = sorted(pid for pid in damaged_anywhere if pid not in overlay)
+        pages, lost = overlay_chain(
+            chain, [set(backup.damaged_pages()) for backup in chain]
+        )
         if lost:
             raise BackupError(
                 f"cannot compact: {len(lost)} page(s) damaged in every "
                 f"generation (first: {lost[0]!r}); run heal_chain() first"
             )
+        overlay = dict(pages)
 
         engine = self.db.engine
         merged_id = engine._next_id
@@ -549,37 +543,28 @@ class ArchiveManager:
         still contains poison (its history ran through a page that has
         no intact copy anywhere in the prefix).
         """
-        log = self.db.log
+        db = self.db
         base_scan = chain[0].media_scan_start_lsn
-        if base_scan < log.first_retained_lsn:
+        if base_scan < db.log.first_retained_lsn:
             return None
-        from repro.ids import NULL_LSN
-        from repro.recovery.redo import POISON
-        from repro.storage.page import PageVersion
-
-        state: Dict[PageId, PageVersion] = {}
-        covered = set()
-        for j in range(index + 1):
-            for p, version in chain[j].pages().items():
-                covered.add(p)
-                if p in damaged_by_gen[j]:
-                    continue
-                state[p] = version
         # Pages recorded somewhere in the prefix but intact nowhere have
-        # no trustworthy source; seed them as poison so a rebuild whose
+        # no trustworthy source; they replay as poison so a rebuild whose
         # history runs through them fails loudly instead of silently
         # using the initial value.
-        for p in covered - set(state):
-            state[p] = PageVersion(POISON, NULL_LSN)
-        replayer = make_replayer(
-            initial_value=self.db.initial_value,
-            redo_workers=getattr(self.db, "redo_workers", 1),
-            metrics=self.db.metrics,
+        pages, lost = overlay_chain(
+            chain[:index + 1], damaged_by_gen[:index + 1]
         )
-        replayer.replay(
-            log.merge_scan(base_scan, chain[index].completion_lsn), state
+        outcome = run_recovery(
+            "chain-heal",
+            pages,
+            db.log.merge_scan(base_scan, chain[index].completion_lsn),
+            stable=None,
+            seeds=lost,
+            initial_value=db.initial_value,
+            metrics=db.metrics,
+            redo_workers=db.redo_workers,
         )
-        version = state.get(pid)
+        version = outcome.state.get(pid)
         if version is None or contains_poison(version.value):
             return None
         return version

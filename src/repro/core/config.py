@@ -87,7 +87,8 @@ class BackupConfig:
                          ``log_streams``, a harness knob — it shapes
                          the ``Database`` the harnesses construct and
                          reaches every recovery flavour (crash, media,
-                         chain, selective, instant restore, PITR).
+                         chain, partition, selective, instant restore,
+                         PITR).
     """
 
     steps: int = 8

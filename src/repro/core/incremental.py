@@ -17,24 +17,28 @@ Soundness sketch (matching the paper's two aspects):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import NoBackupError, RecoveryError
-from repro.ids import LSN, NULL_LSN, PageId
+from repro.ids import LSN, PageId
 from repro.obs.events import (
     CHAIN_FALLBACK,
     CORRUPTION_DETECTED,
-    QUARANTINE,
     RECOVERY_PHASE,
 )
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
-)
+from repro.recovery.explain import RecoveryOutcome
+from repro.recovery.media_recovery import resolve_media_target
+from repro.recovery.pipeline import run_recovery
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -70,6 +74,40 @@ def validate_chain(chain: Sequence[BackupDatabase]) -> None:
         previous = link
 
 
+def overlay_chain(
+    chain: Sequence[BackupDatabase], damaged: Sequence[Set[PageId]]
+) -> Tuple[Iterator[Tuple[PageId, PageVersion]], List[PageId]]:
+    """The chain's merged image, streamed, plus the pages it cannot supply.
+
+    Later links override earlier ones.  ``damaged[i]`` are the cells of
+    ``chain[i]`` that fail their checksum; they are skipped, so the page
+    falls back to an earlier link's copy — replay starts from the *base*
+    scan start, which covers every update a later copy reflected, so the
+    earlier copy plus redo is sound (cost-only, never wrong).  A page
+    damaged in every link that carries it has no intact source: it is
+    returned in ``lost`` (sorted) and never streamed.
+
+    The stream walks the links newest first and yields each page once,
+    so no link image is materialized beyond the ids already seen.
+    """
+    links = list(zip(chain, damaged))
+    lost = sorted(
+        pid
+        for pid in set().union(*damaged)
+        if not any(pid in backup and pid not in bad for backup, bad in links)
+    )
+
+    def pages():
+        seen: Set[PageId] = set()
+        for backup, bad in reversed(links):
+            for pid, version in backup.iter_pages():
+                if pid not in seen and pid not in bad:
+                    seen.add(pid)
+                    yield pid, version
+
+    return pages(), lost
+
+
 def run_media_recovery_chain(
     stable: StableDatabase,
     chain: Sequence[BackupDatabase],
@@ -91,114 +129,42 @@ def run_media_recovery_chain(
     began.  The LSN redo test makes the wider scan cost-only, never
     wrong.
     """
-    tracer = tracer or NULL_TRACER
+    tracer = NULL_TRACER if tracer is None else tracer
     validate_chain(chain)
-    last = chain[-1]
-    target = log.end_lsn if to_lsn is None else to_lsn
-    if last.completion_lsn is not None and target < last.completion_lsn:
-        raise RecoveryError(
-            f"cannot roll forward to LSN {target}: last chain link "
-            f"completed at {last.completion_lsn}"
-        )
+    # The last link is fuzzy up to its completion point, like any backup.
+    target = resolve_media_target(chain[-1], log, to_lsn)
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="begin",
                     links=len(chain), target_lsn=target)
 
-    # Overlay the chain: later links override earlier ones.  Damaged
-    # link versions (checksum failures) are skipped, so the page falls
-    # back to an earlier link's copy — replay starts from the *base*
-    # scan start, which covers every update a later copy reflected, so
-    # the earlier copy plus redo is sound (cost-only, never wrong).  A
-    # page damaged everywhere it appears has no intact source and is
-    # seeded for quarantine.
-    versions: Dict[PageId, PageVersion] = {}
-    damaged_anywhere: set = set()
-    for backup in chain:
-        damaged = set(backup.damaged_pages())
-        if damaged and tracer.enabled:
-            tracer.emit(
-                CORRUPTION_DETECTED, site="backup",
-                backup_id=backup.backup_id,
-                pages=[str(p) for p in sorted(damaged)],
-            )
-        damaged_anywhere |= damaged
-        for pid, ver in backup.pages().items():
-            if pid in damaged:
-                continue
-            versions[pid] = ver
-    quarantine_seed: List[PageId] = sorted(
-        pid for pid in damaged_anywhere if pid not in versions
-    )
-    healed_by_chain = sorted(
-        pid for pid in damaged_anywhere if pid in versions
-    )
-    if damaged_anywhere and tracer.enabled:
+    damaged = [set(backup.damaged_pages()) for backup in chain]
+    pages, quarantine_seed = overlay_chain(chain, damaged)
+    if tracer.enabled and any(damaged):
+        for backup, bad in zip(chain, damaged):
+            if bad:
+                tracer.emit(
+                    CORRUPTION_DETECTED, site="backup",
+                    backup_id=backup.backup_id,
+                    pages=[str(p) for p in sorted(bad)],
+                )
+        healed_by_chain = sorted(set().union(*damaged) - set(quarantine_seed))
         tracer.emit(
             CHAIN_FALLBACK, action="skip-damaged-link-pages",
             healed=[str(p) for p in healed_by_chain],
             unrepairable=[str(p) for p in quarantine_seed],
         )
-    with tracer.span("recovery.media_chain.restore"):
-        stable.restore_from(versions, initial_value=initial_value)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="restore",
-                    scan_start_lsn=chain[0].media_scan_start_lsn)
-
-    state: Dict[PageId, PageVersion] = {
-        pid: ver for pid, ver in stable.iter_pages()
-    }
-    for pid in quarantine_seed:
-        state[pid] = PageVersion(POISON, NULL_LSN)
-    replayer = make_replayer(
+    scan_start = chain[0].media_scan_start_lsn
+    return run_recovery(
+        "media-chain",
+        pages,
+        log.merge_scan(scan_start, target),
+        stable=stable,
+        restore=stable.restore_from,
+        seeds=quarantine_seed,
+        expected=oracle,
         initial_value=initial_value,
         tracer=tracer,
-        redo_workers=redo_workers,
         metrics=metrics,
-    )
-    with tracer.span("recovery.media_chain.redo"):
-        stats = replayer.replay(
-            log.merge_scan(chain[0].media_scan_start_lsn, target), state
-        )
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="redo",
-                    replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine_seed:
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="media-chain")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    for pid, ver in state.items():
-        if not stable.layout.contains(pid):
-            continue
-        if contains_poison(ver.value):
-            stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
-            continue
-        stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media-chain", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="media-chain",
-        quarantined=quarantined,
+        redo_workers=redo_workers,
+        phase_fields={"restore": dict(scan_start_lsn=scan_start)},
     )

@@ -24,16 +24,15 @@ needed inputs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional
 
 from repro.errors import NoBackupError, RecoveryError
 from repro.ids import LSN, PageId
 from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.redo import RedoReplayer, surviving_poison
+from repro.recovery.explain import RecoveryOutcome
+from repro.recovery.pipeline import run_recovery
 from repro.storage.backup_db import BackupDatabase
-from repro.storage.page import PageVersion
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord
 
@@ -62,6 +61,8 @@ def run_partition_media_recovery(
     oracle: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=None,
+    redo_workers: int = 1,
+    metrics=None,
 ) -> RecoveryOutcome:
     """Restore one failed partition from ``backup`` and roll it forward.
 
@@ -69,21 +70,26 @@ def run_partition_media_recovery(
     (:class:`repro.storage.stable_db.StableDatabase` via
     ``restore_partition_from``).
     """
-    tracer = tracer or NULL_TRACER
+    tracer = NULL_TRACER if tracer is None else tracer
     if backup is None or not backup.is_complete:
         raise NoBackupError("partition recovery requires a completed backup")
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="partition", phase="begin",
                     partition=partition, backup_id=backup.backup_id)
 
-    # Precondition: no operation in the roll-forward range may span the
-    # failed partition and any other.
-    offenders = [
-        record
-        for record in log.merge_scan(backup.media_scan_start_lsn)
-        if partition in op_partitions(record)
-        and len(op_partitions(record)) > 1
-    ]
+    # One scan of the roll-forward range: keep the operations confined
+    # to the failed partition; one that spans it and any other violates
+    # the precondition.
+    relevant: List[LogRecord] = []
+    offenders: List[LogRecord] = []
+    for record in log.merge_scan(backup.media_scan_start_lsn):
+        touched = op_partitions(record)
+        if partition not in touched:
+            continue
+        if len(touched) > 1:
+            offenders.append(record)
+        else:
+            relevant.append(record)
     if offenders:
         raise RecoveryError(
             f"partition {partition} is not the unit of media recovery: "
@@ -91,57 +97,35 @@ def run_partition_media_recovery(
             f"LSN {offenders[0].lsn}"
         )
 
-    # Restore just the failed partition's pages from the backup image.
-    versions = {
-        pid: ver
-        for pid, ver in backup.pages().items()
+    # Restore just the failed partition's pages from the backup image,
+    # then roll forward only the operations confined to it.
+    versions = [
+        (pid, ver)
+        for pid, ver in backup.iter_pages()
         if pid.partition == partition
-    }
-    with tracer.span("recovery.partition.restore"):
-        stable.restore_partition_from(partition, versions, initial_value)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="partition", phase="restore",
-                    scan_start_lsn=backup.media_scan_start_lsn,
-                    pages=len(versions))
-
-    # Roll forward only the operations confined to this partition.
-    state: Dict[PageId, PageVersion] = {
-        pid: stable.read_page(pid)
-        for pid in stable.layout.pages_in_partition(partition)
-    }
-    replayer = RedoReplayer(initial_value=initial_value, tracer=tracer)
-    relevant = (
-        record
-        for record in log.merge_scan(backup.media_scan_start_lsn)
-        if op_partitions(record) == {partition}
-    )
-    with tracer.span("recovery.partition.redo"):
-        stats = replayer.replay(relevant, state)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="partition", phase="redo",
-                    replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    diffs: List[Tuple[PageId, Any, Any]] = []
-    if oracle is not None:
-        expected = {
-            pid: value
-            for pid, value in oracle.items()
-            if pid.partition == partition
-        }
-        diffs = diff_states(state, expected, initial_value)
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="partition", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned))
-    for pid, ver in state.items():
-        stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="partition", phase="complete",
-                    ok=not poisoned and not diffs)
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="partition",
+    ]
+    return run_recovery(
+        "partition",
+        versions,
+        relevant,
+        stable=stable,
+        restore=lambda pages, initial: stable.restore_partition_from(
+            partition, dict(pages), initial
+        ),
+        expected=(
+            None
+            if oracle is None
+            else {
+                pid: value
+                for pid, value in oracle.items()
+                if pid.partition == partition
+            }
+        ),
+        initial_value=initial_value,
+        tracer=tracer,
+        metrics=metrics,
+        redo_workers=redo_workers,
+        phase_fields={"restore": dict(
+            scan_start_lsn=backup.media_scan_start_lsn, pages=len(versions)
+        )},
     )

@@ -119,8 +119,8 @@ class Database:
         hot counter.
 
         ``redo_workers=1`` keeps recovery replay serial;
-        ``redo_workers > 1`` fans every recovery flavour's replay
-        (crash, media, chain, selective, instant restore, PITR) out to
+        ``redo_workers > 1`` fans every recovery flavour's replay (crash,
+        media, chain, partition, selective, instant restore, PITR) out to
         the dependency-aware parallel replayer
         (:mod:`repro.recovery.parallel_redo`) with byte-identical
         outcomes.
@@ -187,6 +187,10 @@ class Database:
         # The log-structured archive tier, attached on demand
         # (attach_archive); None until then.
         self.archive = None
+        # The active instant restore (begin_/finish_instant_restore) and
+        # the damaged-page count its begin detected.
+        self._instant: Optional[RestoreManager] = None
+        self._instant_damaged = 0
         self.faults: Optional[FaultPlane] = None
         self.tracer = NULL_TRACER
         if tracer is not None:
@@ -254,6 +258,66 @@ class Database:
         if self.faults is not None:
             outcome.faults_survived = self.faults.injected_total
         return outcome
+
+    # ------------------------------------------- shared recovery plumbing
+
+    def _recovery_args(self) -> dict:
+        """What every recovery driver takes from this database."""
+        return dict(
+            initial_value=self.initial_value,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            redo_workers=self.redo_workers,
+        )
+
+    def _restore_source(
+        self, backup: Optional[BackupDatabase]
+    ) -> BackupDatabase:
+        """``backup``, or the latest completed one when none is named."""
+        backup = backup or self.engine.latest_backup()
+        if backup is None:
+            raise NoBackupError("no completed backup to restore from")
+        return backup
+
+    def _full_backups(self) -> List[BackupDatabase]:
+        """Completed full (non-incremental) backups, oldest first."""
+        return [
+            b
+            for b in self.engine.completed
+            if b.is_complete and getattr(b, "base_backup_id", None) is None
+        ]
+
+    def _fallback_generations(
+        self, backup: BackupDatabase
+    ) -> List[BackupDatabase]:
+        """Older generations media recovery may fall back to when
+        ``backup`` fails its integrity check, newest first."""
+        return [b for b in reversed(self._full_backups()) if b is not backup]
+
+    def _count_damage(self, backups: Sequence[BackupDatabase]) -> int:
+        """Damaged pages across the images a restore is about to read."""
+        damaged = {pid for b in backups for pid in b.damaged_pages()}
+        self.metrics.corruption_detected += len(damaged)
+        return len(damaged)
+
+    def _settle_damage(self, damaged: int, outcome: RecoveryOutcome) -> None:
+        """Account what became of ``damaged`` pages: whatever recovery
+        did not have to quarantine, it healed."""
+        if damaged:
+            lost = len(outcome.quarantined)
+            self.metrics.pages_quarantined += lost
+            self.metrics.corruption_healed += max(0, damaged - lost)
+
+    def _resume_after(
+        self, outcome: RecoveryOutcome, redo_from: Optional[LSN] = None
+    ) -> RecoveryOutcome:
+        """Epilogue of every offline recovery: S now holds the recovered
+        state, so the cache restarts cold over it and nothing before
+        ``redo_from`` (when given) needs redo again."""
+        self.cm.reload_after_recovery()
+        if redo_from is not None:
+            self.cm.stable_truncation_point = redo_from
+        return self._stamp_outcome(outcome)
 
     # ---------------------------------------------------------- transactions
 
@@ -478,44 +542,19 @@ class Database:
         tracks the latest state); earlier targets skip verification.
 
         Afterwards the stable store reflects exactly the history up to
-        ``to_lsn``; the log suffix past the target is *kept*, so a
-        subsequent :meth:`recover` rolls forward to the present if the
-        operator decides the later history was good after all.
+        ``to_lsn``; the log suffix past the target is *kept* — replayable
+        (roll-forward) but not yet installed — so a subsequent
+        :meth:`recover` rolls forward to the present if the operator
+        decides the later history was good after all.
         """
         archive = self.archive or self.attach_archive()
         from repro.archive.manager import select_chain_prefix
 
-        prefix = select_chain_prefix(archive.chain(), to_lsn)
-        damaged = {pid for b in prefix for pid in b.damaged_pages()}
-        if damaged:
-            self.metrics.corruption_detected += len(damaged)
-        with self._faults_suspended():
-            outcome = run_media_recovery_chain(
-                self.stable,
-                prefix,
-                self.log,
-                to_lsn=to_lsn,
-                oracle=(
-                    self.oracle.state()
-                    if verify and to_lsn == self.log.end_lsn
-                    else None
-                ),
-                initial_value=self.initial_value,
-                tracer=self.tracer,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
-            )
-        if damaged:
-            self.metrics.pages_quarantined += len(outcome.quarantined)
-            self.metrics.corruption_healed += max(
-                0, len(damaged) - len(outcome.quarantined)
-            )
-        self.cm.reload_after_recovery()
-        # Stable now reflects history up to the target only; anything
-        # after it on the log is replayable (roll-forward) but not yet
-        # installed.
-        self.cm.stable_truncation_point = to_lsn + 1
-        return self._stamp_outcome(outcome)
+        return self._recover_chain(
+            select_chain_prefix(archive.chain(), to_lsn),
+            verify and to_lsn == self.log.end_lsn,
+            to_lsn,
+        )
 
     # -------------------------------------------------------------- lifecycle
 
@@ -614,36 +653,27 @@ class Database:
                         ev.CORRUPTION_DETECTED, site="stable",
                         pages=[str(p) for p in damaged],
                     )
+            oracle = self.oracle.state() if verify else None
             if problems:
-                outcome = self._recover_damaged_stable(problems, verify)
+                outcome = self._recover_damaged_stable(problems, oracle)
             elif from_log_only:
                 outcome = run_analyzed_crash_recovery(
-                    self.stable,
-                    self.log,
-                    oracle=self.oracle.state() if verify else None,
-                    initial_value=self.initial_value,
-                    tracer=self.tracer,
-                    redo_workers=self.redo_workers,
-                    metrics=self.metrics,
+                    self.stable, self.log, oracle=oracle,
+                    **self._recovery_args(),
                 )
             else:
                 outcome = run_crash_recovery(
                     self.stable,
                     self.log,
                     scan_start_lsn=self.cm.stable_truncation_point,
-                    oracle=self.oracle.state() if verify else None,
-                    initial_value=self.initial_value,
-                    tracer=self.tracer,
-                    redo_workers=self.redo_workers,
-                    metrics=self.metrics,
+                    oracle=oracle,
+                    **self._recovery_args(),
                 )
-        self.cm.reload_after_recovery()
         # After redo, S holds the current state: nothing is dirty.
-        self.cm.stable_truncation_point = self.log.end_lsn + 1
-        return self._stamp_outcome(outcome)
+        return self._resume_after(outcome, self.log.end_lsn + 1)
 
     def _recover_damaged_stable(
-        self, problems: Sequence[PageId], verify: bool
+        self, problems: Sequence[PageId], oracle
     ) -> RecoveryOutcome:
         """Escalation ladder for crash recovery over a damaged store.
 
@@ -655,16 +685,12 @@ class Database:
         # the log end re-creates every page, damaged ones included.
         fulls = [
             b
-            for b in self.engine.completed
-            if b.is_complete
-            and getattr(b, "base_backup_id", None) is None
-            and (b.completion_lsn or 0) <= self.log.end_lsn
+            for b in self._full_backups()
+            if (b.completion_lsn or 0) <= self.log.end_lsn
             and b.media_scan_start_lsn >= self.log.first_retained_lsn
         ]
-        oracle = self.oracle.state() if verify else None
         if fulls:
             newest = fulls[-1]
-            older = list(reversed(fulls[:-1]))
             if self.tracer.enabled:
                 self.tracer.emit(
                     ev.CHAIN_FALLBACK, action="escalate-media",
@@ -676,11 +702,8 @@ class Database:
                 newest,
                 self.log,
                 oracle=oracle,
-                initial_value=self.initial_value,
-                tracer=self.tracer,
-                fallback=older,
-                metrics=self.metrics,
-                redo_workers=self.redo_workers,
+                fallback=list(reversed(fulls[:-1])),
+                **self._recovery_args(),
             )
         elif self.log.first_retained_lsn == 1:
             # (b) Full-history rebuild: the log still reaches LSN 1, so
@@ -697,11 +720,8 @@ class Database:
                 self.log,
                 scan_start_lsn=1,
                 oracle=oracle,
-                initial_value=self.initial_value,
-                tracer=self.tracer,
                 rebuild_from_log=True,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
+                **self._recovery_args(),
             )
         else:
             # (c) No healing source: quarantine what replay cannot fix.
@@ -710,16 +730,10 @@ class Database:
                 self.log,
                 scan_start_lsn=self.cm.stable_truncation_point,
                 oracle=oracle,
-                initial_value=self.initial_value,
-                tracer=self.tracer,
                 quarantine=problems,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
+                **self._recovery_args(),
             )
-        self.metrics.pages_quarantined += len(outcome.quarantined)
-        self.metrics.corruption_healed += max(
-            0, len(problems) - len(outcome.quarantined)
-        )
+        self._settle_damage(len(problems), outcome)
         return outcome
 
     def validate_backup(
@@ -758,19 +772,8 @@ class Database:
         same result) and only quarantines pages when every generation is
         damaged.
         """
-        backup = backup or self.engine.latest_backup()
-        if backup is None:
-            raise NoBackupError("no completed backup to restore from")
-        fallback = [
-            b
-            for b in reversed(self.engine.completed)
-            if b is not backup
-            and b.is_complete
-            and getattr(b, "base_backup_id", None) is None
-        ]
-        damaged = backup.damaged_pages()
-        if damaged:
-            self.metrics.corruption_detected += len(damaged)
+        backup = self._restore_source(backup)
+        damaged = self._count_damage([backup])
         with self._faults_suspended():
             outcome = run_media_recovery(
                 self.stable,
@@ -780,20 +783,11 @@ class Database:
                 oracle=(
                     self.oracle.state() if verify and to_lsn is None else None
                 ),
-                initial_value=self.initial_value,
-                tracer=self.tracer,
-                fallback=fallback,
-                metrics=self.metrics,
-                redo_workers=self.redo_workers,
+                fallback=self._fallback_generations(backup),
+                **self._recovery_args(),
             )
-        if damaged:
-            self.metrics.pages_quarantined += len(outcome.quarantined)
-            self.metrics.corruption_healed += max(
-                0, len(damaged) - len(outcome.quarantined)
-            )
-        self.cm.reload_after_recovery()
-        self.cm.stable_truncation_point = self.log.end_lsn + 1
-        return self._stamp_outcome(outcome)
+        self._settle_damage(damaged, outcome)
+        return self._resume_after(outcome, self.log.end_lsn + 1)
 
     def begin_instant_restore(
         self,
@@ -818,34 +812,19 @@ class Database:
         :class:`RecoveryOutcome` — byte-identical to what
         :meth:`media_recover` would have produced at the same target.
         """
-        backup = backup or self.engine.latest_backup()
-        if backup is None:
-            raise NoBackupError("no completed backup to restore from")
-        fallback = [
-            b
-            for b in reversed(self.engine.completed)
-            if b is not backup
-            and b.is_complete
-            and getattr(b, "base_backup_id", None) is None
-        ]
-        damaged = backup.damaged_pages()
-        if damaged:
-            self.metrics.corruption_detected += len(damaged)
-        self._instant_damaged = len(damaged)
+        backup = self._restore_source(backup)
+        self._instant_damaged = self._count_damage([backup])
         manager = RestoreManager(
             self.stable,
             backup,
             self.log,
             to_lsn=to_lsn,
-            fallback=fallback,
+            fallback=self._fallback_generations(backup),
             oracle=(
                 self.oracle.state() if verify and to_lsn is None else None
             ),
-            initial_value=self.initial_value,
-            tracer=self.tracer,
-            metrics=self.metrics,
             io_guard=self._faults_suspended,
-            redo_workers=self.redo_workers,
+            **self._recovery_args(),
         )
         with self._faults_suspended():
             manager.begin()
@@ -867,17 +846,13 @@ class Database:
         traffic only ever observed fully restored pages, so its cached
         (possibly dirty) contents remain the current state.
         """
-        manager = getattr(self, "_instant", None)
+        manager = self._instant
         if manager is None:
             raise RecoveryError("no instant restore in progress")
         outcome = manager.drain()
         self.cm.restore_hook = None
         self._instant = None
-        if self._instant_damaged:
-            self.metrics.pages_quarantined += len(outcome.quarantined)
-            self.metrics.corruption_healed += max(
-                0, self._instant_damaged - len(outcome.quarantined)
-            )
+        self._settle_damage(self._instant_damaged, outcome)
         return self._stamp_outcome(outcome)
 
     def media_recover_chain(
@@ -891,32 +866,31 @@ class Database:
         link's copy plus the base-scan-start replay heals them); pages
         damaged in every link that carries them are quarantined.
         """
-        if chain is None:
-            chain = self.engine.completed
-        damaged = {
-            pid for b in chain for pid in b.damaged_pages()
-        }
-        if damaged:
-            self.metrics.corruption_detected += len(damaged)
+        return self._recover_chain(
+            self.engine.completed if chain is None else chain, verify
+        )
+
+    def _recover_chain(
+        self,
+        chain: Sequence[BackupDatabase],
+        verify: bool,
+        to_lsn: Optional[LSN] = None,
+    ) -> RecoveryOutcome:
+        """Chain restore to ``to_lsn`` (default: the log end)."""
+        damaged = self._count_damage(chain)
         with self._faults_suspended():
             outcome = run_media_recovery_chain(
                 self.stable,
                 list(chain),
                 self.log,
+                to_lsn=to_lsn,
                 oracle=self.oracle.state() if verify else None,
-                initial_value=self.initial_value,
-                tracer=self.tracer,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
+                **self._recovery_args(),
             )
-        if damaged:
-            self.metrics.pages_quarantined += len(outcome.quarantined)
-            self.metrics.corruption_healed += max(
-                0, len(damaged) - len(outcome.quarantined)
-            )
-        self.cm.reload_after_recovery()
-        self.cm.stable_truncation_point = self.log.end_lsn + 1
-        return self._stamp_outcome(outcome)
+        self._settle_damage(damaged, outcome)
+        return self._resume_after(
+            outcome, (self.log.end_lsn if to_lsn is None else to_lsn) + 1
+        )
 
     # ---------------------------------------------- partial failure (§6.3 #2)
 
@@ -943,9 +917,7 @@ class Database:
         Requires every logged operation touching the partition since the
         backup's scan start to be confined to it.
         """
-        backup = backup or self.engine.latest_backup()
-        if backup is None:
-            raise NoBackupError("no completed backup to restore from")
+        backup = self._restore_source(backup)
         with self._faults_suspended():
             outcome = run_partition_media_recovery(
                 self.stable,
@@ -953,11 +925,11 @@ class Database:
                 backup,
                 self.log,
                 oracle=self.oracle.state() if verify else None,
-                initial_value=self.initial_value,
-                tracer=self.tracer,
+                **self._recovery_args(),
             )
-        self.cm.reload_after_recovery()
-        return self._stamp_outcome(outcome)
+        # Healthy partitions keep their dirty-page bookkeeping: the
+        # redo scan start does not move.
+        return self._resume_after(outcome)
 
     # ----------------------------------------------- selective redo (§6.3 #3)
 
@@ -980,29 +952,22 @@ class Database:
         result carries its own verification diffs (against the
         corruption-free expected state).
         """
-        backup = backup or self.engine.latest_backup()
-        if backup is None:
-            raise NoBackupError("no completed backup to restore from")
+        backup = self._restore_source(backup)
         with self._faults_suspended():
             result = run_selective_redo(
                 self.stable,
                 backup,
                 self.log,
                 corrupt=lambda record: record.source == corrupt_source,
-                initial_value=self.initial_value,
                 verify=verify,
                 group_of=(
                     (lambda record: record.source or None)
                     if transactional
                     else None
                 ),
-                tracer=self.tracer,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
+                **self._recovery_args(),
             )
-        self.cm.reload_after_recovery()
-        self.cm.stable_truncation_point = self.log.end_lsn + 1
-        return self._stamp_outcome(result)
+        return self._resume_after(result, self.log.end_lsn + 1)
 
     # ------------------------------------------- checkpoints / log retention
 

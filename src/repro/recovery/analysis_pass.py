@@ -104,7 +104,7 @@ def run_analyzed_crash_recovery(
     metrics=None,
 ) -> RecoveryOutcome:
     """Analysis pass + redo pass, self-contained from S and the log."""
-    tracer = tracer or NULL_TRACER
+    tracer = NULL_TRACER if tracer is None else tracer
     with tracer.span("recovery.analysis"):
         analysis = analyze_log(log)
     if tracer.enabled:

@@ -1,11 +1,12 @@
 """Crash (system-failure) recovery: redo over the stable database.
 
 After a crash the volatile cache is gone; S plus the durable log prefix
-must reconstruct the current state.  Recovery loads S's pages, replays
-the durable log from the scan-start (truncation) point with the LSN redo
-test — serially in LSN order, or in dependency order on a worker pool
-when ``redo_workers > 1``, with a serial-equivalent outcome either way —
-and, when an oracle is supplied, verifies the result.
+must reconstruct the current state.  Recovery is the shared pipeline
+(:func:`repro.recovery.pipeline.run_recovery`) with S's own pages as the
+base and the durable log from the scan-start (truncation) point as the
+slice — replayed serially in LSN order, or in dependency order on a
+worker pool when ``redo_workers > 1``, with a serial-equivalent outcome
+either way — and, when an oracle is supplied, verified against it.
 
 Corruption handling: pages the caller has identified as damaged (stable
 checksum failures with no backup to heal from) are passed as
@@ -20,19 +21,13 @@ oracle state is produced).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.ids import LSN, NULL_LSN, PageId
-from repro.obs.events import QUARANTINE, RECOVERY_PHASE
+from repro.ids import LSN, PageId
+from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
-)
-from repro.storage.page import PageVersion
+from repro.recovery.explain import RecoveryOutcome
+from repro.recovery.pipeline import run_recovery
 from repro.storage.stable_db import StableDatabase
 from repro.wal.log_manager import LogManager
 
@@ -57,7 +52,7 @@ def run_crash_recovery(
     equal to the recovered current state.  ``redo_workers > 1`` fans
     the replay out to the dependency-aware parallel replayer.
     """
-    tracer = tracer or NULL_TRACER
+    tracer = NULL_TRACER if tracer is None else tracer
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="crash", phase="begin",
                     scan_start_lsn=scan_start_lsn)
@@ -68,67 +63,17 @@ def run_crash_recovery(
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="crash", phase="repair_torn",
                     rolled_back=repaired)
-    if rebuild_from_log:
-        # Empty state: every page materializes at the initial value and
-        # the full log replay reconstructs the store from scratch.
-        state: Dict[PageId, PageVersion] = {}
-    else:
-        state = {pid: ver for pid, ver in stable.iter_pages()}
-    for pid in quarantine:
-        state[pid] = PageVersion(POISON, NULL_LSN)
-    replayer = make_replayer(
+    return run_recovery(
+        "crash",
+        # Rebuild: an empty base — every page materializes at the initial
+        # value and the full log replay reconstructs the store.
+        () if rebuild_from_log else stable.iter_pages(),
+        log.durable_merge_scan(scan_start_lsn),
+        stable=stable if apply_to_stable else None,
+        seeds=quarantine,
+        expected=oracle,
         initial_value=initial_value,
         tracer=tracer,
-        redo_workers=redo_workers,
         metrics=metrics,
-    )
-    with tracer.span("recovery.crash.redo"):
-        stats = replayer.replay(log.durable_merge_scan(scan_start_lsn), state)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="crash", phase="redo",
-                    replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine:
-        # With damage seeded, surviving POISON is the quarantine report:
-        # the seeds replay could not heal, plus pages their loss tainted.
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="crash")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="crash", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    if apply_to_stable:
-        for pid, ver in state.items():
-            if not stable.layout.contains(pid):
-                continue
-            if contains_poison(ver.value):
-                stable.install_version(
-                    pid, PageVersion(initial_value, NULL_LSN)
-                )
-                continue
-            stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="crash", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="crash",
-        quarantined=quarantined,
+        redo_workers=redo_workers,
     )

@@ -32,11 +32,15 @@ from repro.wal.records import LogRecord
 class RecoveryOutcome:
     """Result of a recovery run — the one return type of every recovery
     entry point on :class:`~repro.db.Database` (``recover``,
-    ``media_recover``, ``media_recover_chain``, ``recover_partition``,
-    ``selective_recover``).
+    ``media_recover``, ``finish_instant_restore``,
+    ``media_recover_chain``, ``restore_to_lsn``, ``recover_partition``,
+    ``selective_recover``), built in one place
+    (:func:`repro.recovery.pipeline.conclude_recovery`).
 
-    ``kind`` names the recovery flavour (``"crash"``, ``"media"``,
-    ``"media-chain"``, ``"partition"``, ``"selective"``);
+    ``kind`` names the recovery flavour (``"crash"``, ``"media"`` — also
+    an instant restore, which is byte-identical to it —
+    ``"media-chain"`` — also a point-in-time restore — ``"partition"``,
+    ``"selective"``);
     ``faults_survived`` counts the injected storage/WAL faults (see
     :mod:`repro.sim.faults`) the run lived through before this recovery
     verified; ``analysis`` carries the taint analysis for selective

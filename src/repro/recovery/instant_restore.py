@@ -27,11 +27,15 @@ The pieces:
   write- and read-set), so effects are resolved with an explicit
   iterative work stack — no recursion, dependencies are strictly earlier
   slice indices, total work over a full drain is the same O(slice) the
-  sequential replayer pays.  The per-record classification (skip vs
-  replay, poisoned results, partial replays) reproduces
-  :class:`~repro.recovery.redo.RedoReplayer` exactly, by induction over
-  the slice — that is what makes :meth:`RestoreManager.drain`
-  byte-identical to the offline outcome.
+  sequential replayer pays.  Each effect is one call of the shared redo
+  kernel (:func:`~repro.recovery.redo.apply_record`) — the evaluator is
+  its third *scheduler*, demand-driven where
+  :class:`~repro.recovery.redo.RedoReplayer` is LSN-ordered — handed the
+  page versions the record would observe at its turn, so by induction
+  over the slice every record is classified (skip vs replay, poisoned,
+  partial) exactly as the offline replay classifies it.  That is what
+  makes :meth:`RestoreManager.drain` byte-identical to the offline
+  outcome.
 * **Lazy path** — ``CacheManager.restore_hook`` (installed by
   :meth:`repro.db.Database.begin_instant_restore`) calls
   :meth:`RestoreManager.ensure_restored` for every cache-missed read and
@@ -61,15 +65,19 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ids import LSN, NULL_LSN, PageId
-from repro.obs.events import QUARANTINE, RESTORE_PROGRESS
+from repro.obs.events import RESTORE_PROGRESS
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.explain import RecoveryOutcome
 from repro.recovery.media_recovery import (
-    install_recovered_page,
     resolve_media_target,
     select_generation,
 )
-from repro.recovery.redo import POISON, contains_poison
+from repro.recovery.pipeline import (
+    conclude_recovery,
+    install_recovered_page,
+    poison_seeds,
+)
+from repro.recovery.redo import ReplayStats, apply_record
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -129,12 +137,11 @@ class RestoredBitmap:
 class _SliceEvaluator:
     """Demand-driven, memoized redo over one media-log slice.
 
-    Reproduces the sequential :class:`RedoReplayer` record-for-record:
-    ``_effects[i]`` is ``None`` when record ``i`` would have been skipped
-    (no stale write-set page at its turn), else the ``{page: version}``
-    mapping it would have installed.  Versions are built exactly the way
-    the replayer builds them (``__new__`` + ``object.__setattr__``) so
-    POISON and arbitrary replay results round-trip unvalidated.
+    The third scheduler of the redo kernel: ``_effects[i]`` memoizes
+    what :func:`~repro.recovery.redo.apply_record` returns for record
+    ``i`` given the versions it would observe in LSN order — ``None``
+    when the record is skipped (no stale write-set page at its turn),
+    else the ``{page: version}`` mapping it installs.
     """
 
     def __init__(
@@ -142,7 +149,7 @@ class _SliceEvaluator:
         records: Sequence,
         base: Dict[PageId, PageVersion],
         initial_value: Any,
-        fetch=None,
+        fetch,
     ):
         self._records = list(records)
         self._base = base
@@ -161,13 +168,7 @@ class _SliceEvaluator:
                 self._writers.setdefault(page, []).append(i)
         self._effects: Dict[int, Optional[Dict[PageId, PageVersion]]] = {}
         # Sequential-replay counters, valid once every effect is computed.
-        self.ops_replayed = 0
-        self.ops_skipped = 0
-        self.partial_replays = 0
-        self.poisoned: List[PageId] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
+        self.stats = ReplayStats(records_seen=len(self._records))
 
     # ------------------------------------------------------------ versions
 
@@ -175,7 +176,7 @@ class _SliceEvaluator:
         base = self._base
         if page not in base and page not in self._fetched:
             self._fetched.add(page)
-            version = self._fetch(page) if self._fetch is not None else None
+            version = self._fetch(page)
             if version is not None:
                 base[page] = version
         version = base.get(page)
@@ -265,44 +266,13 @@ class _SliceEvaluator:
     def _compute_effect(
         self, index: int
     ) -> Optional[Dict[PageId, PageVersion]]:
-        """Record ``index``'s effect, with all dependencies memoized.
-
-        Mirrors one iteration of ``RedoReplayer.replay`` verbatim: the
-        LSN redo test per write-set page, reads from the pre-record
-        versions, exception → POISON for the stale pages.
-        """
+        """Record ``index``'s effect, with all dependencies memoized."""
         record = self._records[index]
-        op = record.op
-        lsn = record.lsn
-        stale = [
-            page
-            for page in op.writeset
-            if self._version_before(page, index).page_lsn < lsn
-        ]
-        if not stale:
-            self.ops_skipped += 1
-            return None
-        if len(stale) < len(op.writeset):
-            self.partial_replays += 1
-        reads = {
-            page: self._version_before(page, index).value
-            for page in op.readset
-        }
-        try:
-            result = op.apply(reads)
-        except Exception:
-            result = {page: POISON for page in stale}
-            self.poisoned.extend(stale)
-        self.ops_replayed += 1
-        effect: Dict[PageId, PageVersion] = {}
-        for page in stale:
-            version = PageVersion.__new__(PageVersion)
-            # Bypass value checking: POISON and arbitrary replay results
-            # are stored as-is, exactly like the sequential replayer.
-            object.__setattr__(version, "value", result[page])
-            object.__setattr__(version, "page_lsn", lsn)
-            effect[page] = version
-        return effect
+        outcome = apply_record(
+            record, lambda page: self._version_before(page, index)
+        )
+        self.stats.tally(record, outcome)
+        return None if outcome is None else outcome[0]
 
     def _ensure_writers_resolved(self, page: PageId) -> None:
         """Memoize the effects :meth:`_version_before` will consult."""
@@ -321,34 +291,19 @@ class _SliceEvaluator:
     def evaluate_all(self) -> None:
         """Memoize every record's effect, in slice order.
 
-        After this the counters (``ops_replayed``/``ops_skipped``/...)
-        equal the sequential replayer's for the same slice and base.
+        After this ``stats`` equals the sequential replayer's for the
+        same slice and base.
         """
         for i in range(len(self._records)):
             self._ensure_effect(i)
 
     def final_state(self) -> Dict[PageId, PageVersion]:
-        """The exact ``state`` dict the sequential replayer would leave.
-
-        Key materialization matters for outcome parity: a record's
-        write-set pages enter the state when their staleness is tested;
-        its read-set pages enter only if the record actually replays.
-        Requires :meth:`evaluate_all` first.
-        """
+        """The exact ``state`` dict the sequential replayer would leave:
+        the base plus every effect, in slice order.  Requires
+        :meth:`evaluate_all` first (and a fully loaded base)."""
         state: Dict[PageId, PageVersion] = dict(self._base)
-        initial = self._initial_value
-        for i, record in enumerate(self._records):
-            op = record.op
-            for page in op.writeset:
-                if page not in state:
-                    state[page] = PageVersion(initial, NULL_LSN)
-            effect = self._effects[i]
-            if effect is None:
-                continue
-            for page in op.readset:
-                if page not in state:
-                    state[page] = PageVersion(initial, NULL_LSN)
-            state.update(effect)
+        for i in range(len(self._records)):
+            state.update(self._effects[i] or ())
         return state
 
 
@@ -406,8 +361,8 @@ class RestoreManager:
         self.quarantine_seed: List[PageId] = []
         self._seeds: Set[PageId] = set()
         self._evaluator: Optional[_SliceEvaluator] = None
-        self._poison_installed: Set[PageId] = set()
         self._pool = None
+        self._span_pool = None
         self._futures: List = []
         self._began = False
         self._drained: Optional[RecoveryOutcome] = None
@@ -436,12 +391,14 @@ class RestoreManager:
         records = list(
             self.log.merge_scan(self.chosen.media_scan_start_lsn, self.target)
         )
-        base: Dict[PageId, PageVersion] = {}
-        for pid in self.quarantine_seed:
-            base[pid] = PageVersion(POISON, NULL_LSN)
-        self._base = base
+        # Quarantine seeds sit in the base as POISON from the start, so
+        # the evaluator never fetches their damaged cells; everything
+        # else comes from the chosen (vetted-intact) generation's
+        # verified read.
+        self._base = poison_seeds(self.quarantine_seed)
         self._evaluator = _SliceEvaluator(
-            records, base, self.initial_value, fetch=self._fetch_base,
+            records, self._base, self.initial_value,
+            fetch=self.chosen.read_page,
         )
         with self._io_guard():
             # Re-format every cell to the initial value (clears the
@@ -457,17 +414,6 @@ class RestoreManager:
                 quarantine_seeds=len(self.quarantine_seed),
             )
         return self
-
-    def _fetch_base(self, pid: PageId) -> Optional[PageVersion]:
-        """One page's backup copy, for the evaluator's lazy base.
-
-        Quarantine seeds are already seeded POISON in the base (never
-        fetched); everything else comes from the chosen (vetted-intact)
-        generation's verified read.
-        """
-        if pid in self._seeds:
-            return None
-        return self.chosen.read_page(pid)
 
     # ------------------------------------------------------------ lazy path
 
@@ -492,12 +438,10 @@ class RestoreManager:
         """Compute and install one page's recovered version (lock held)."""
         version = self._evaluator.final_version(pid)
         with self._io_guard():
-            installed = install_recovered_page(
+            install_recovered_page(
                 self.stable, pid, version, self.initial_value,
                 self.tracer, self.metrics, kind="instant",
             )
-        if not installed and contains_poison(version.value):
-            self._poison_installed.add(pid)
         self.bitmap.mark(pid)
         if self.metrics is not None:
             if source == "on-demand":
@@ -546,7 +490,6 @@ class RestoreManager:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="instant-restore"
         )
-        self._span_pool = None
         if executor == "process" and getattr(self.chosen, "path", None):
             self._span_pool = self._make_process_pool(workers)
         self._futures = [
@@ -562,17 +505,13 @@ class RestoreManager:
 
     @staticmethod
     def _make_process_pool(workers: int):
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        except (ImportError, ValueError):
-            from concurrent.futures import ProcessPoolExecutor as Pool
-
-            return Pool(max_workers=workers)
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
 
     def _restore_partition(self, partition: int) -> int:
         """Eager-restore one partition (worker-thread body).
@@ -586,11 +525,9 @@ class RestoreManager:
         size = layout.partition_size(partition)
         span = self._read_backup_span(partition, 0, size)
         with self._lock:
-            base = self._base
-            seeds = self._seeds
             for pid, version in span:
-                if pid not in base and pid not in seeds:
-                    base[pid] = version
+                # Seeds are already in the base (as POISON) and stay so.
+                self._base.setdefault(pid, version)
         restored = 0
         for pid in layout.pages_in_partition(partition):
             with self._lock:
@@ -628,13 +565,18 @@ class RestoreManager:
                     if version is not None:
                         out.append((pid, version))
             return out
-        return [
-            (pid, version)
-            for pid, version in self.chosen.read_span(partition, start, stop)
-            if pid not in self._seeds
-        ]
+        return self.chosen.read_span(partition, start, stop)
 
     # ------------------------------------------------------------- parallel
+
+    def _load_image(self, base: Dict[PageId, PageVersion]) -> None:
+        """Add every backup page ``base`` does not hold yet.
+
+        Quarantine seeds are in every base from the start (as POISON),
+        so the damaged cells of the image never replace them.
+        """
+        for pid, version in self.chosen.iter_pages():
+            base.setdefault(pid, version)
 
     def _prime_effects(self) -> None:
         """Batch-compute every record effect on the parallel replayer.
@@ -642,13 +584,12 @@ class RestoreManager:
         With ``redo_workers > 1`` the whole media-log slice is replayed
         once by :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer`
         against a private snapshot of the full backup base, off the
-        manager lock; the per-record effects (identical to what
-        ``_compute_effect`` would memoize, record by record — both
-        mirror the serial replayer) are then installed into the
-        evaluator under the lock, alongside the wholesale slice
-        counters.  Effects a demand path already memoized are kept;
-        they are equal by determinism.  Idempotent and safe to race
-        with on-demand restores.
+        manager lock; the per-record effects (what the evaluator would
+        memoize record by record — both schedulers run the same kernel)
+        are then installed into the evaluator under the lock, alongside
+        the wholesale slice stats.  Effects a demand path already
+        memoized are kept; they are equal by determinism.  Idempotent
+        and safe to race with on-demand restores.
         """
         if self.redo_workers <= 1:
             return
@@ -659,12 +600,8 @@ class RestoreManager:
             evaluator = self._evaluator
         from repro.recovery.parallel_redo import ParallelRedoReplayer
 
-        base: Dict[PageId, PageVersion] = {}
-        for pid in self.quarantine_seed:
-            base[pid] = PageVersion(POISON, NULL_LSN)
-        for pid, version in self.chosen.iter_pages():
-            if pid not in base and pid not in self._seeds:
-                base[pid] = version
+        base = poison_seeds(self.quarantine_seed)
+        self._load_image(base)
         # Per-worker Metrics shards are absorbed into this carrier on
         # the prime thread (which owns it), then merged into the shared
         # instance under the manager lock.
@@ -681,14 +618,9 @@ class RestoreManager:
             evaluator._records, base
         )
         with self._lock:
-            effects = evaluator._effects
             for index, effect in enumerate(computed):
-                if index not in effects:
-                    effects[index] = effect
-            evaluator.ops_replayed = stats.ops_replayed
-            evaluator.ops_skipped = stats.ops_skipped
-            evaluator.partial_replays = stats.partial_replays
-            evaluator.poisoned = list(stats.poisoned)
+                evaluator._effects.setdefault(index, effect)
+            evaluator.stats = stats
             if carrier is not None:
                 self.metrics.absorb(carrier)
 
@@ -699,9 +631,10 @@ class RestoreManager:
 
         Joins the background pool, restores every page still pending,
         evaluates any record whose effect was never demanded (so the
-        replay counters match the sequential pass), and assembles the
-        same :class:`RecoveryOutcome` the offline path returns —
-        including quarantine bookkeeping and oracle diffs.
+        replay counters match the sequential pass), and hands the final
+        state to the shared pipeline's verdict — the same
+        :class:`RecoveryOutcome` the offline path returns, including
+        quarantine bookkeeping and oracle diffs.
         """
         if self._drained is not None:
             return self._drained
@@ -712,7 +645,7 @@ class RestoreManager:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if getattr(self, "_span_pool", None) is not None:
+        if self._span_pool is not None:
             self._span_pool.shutdown(wait=True)
             self._span_pool = None
         # No eager sweep ran (or it never primed): parallelize the bulk
@@ -731,52 +664,25 @@ class RestoreManager:
             evaluator.evaluate_all()
             # Load every backup page the demand paths never touched so
             # final_state's base matches the offline restore image.
-            for pid, version in self.chosen.iter_pages():
-                if pid not in self._base and pid not in self._seeds:
-                    self._base[pid] = version
+            self._load_image(self._base)
             state = evaluator.final_state()
             # Out-of-layout replay targets exist only in ``state`` (the
-            # offline path traces/drops them at install; the per-page
-            # paths never see them) — install parity is handled by
-            # install_recovered_page in both paths.
+            # per-page paths never see them): run them through the
+            # install rules so they are traced and counted as dropped,
+            # exactly as the offline install does.
             for pid, version in state.items():
                 if not layout.contains(pid):
-                    with self._io_guard():
-                        install_recovered_page(
-                            self.stable, pid, version, self.initial_value,
-                            self.tracer, self.metrics, kind="instant",
-                        )
-            poisoned = sorted(
-                pid
-                for pid, version in state.items()
-                if contains_poison(version.value)
+                    install_recovered_page(
+                        self.stable, pid, version, self.initial_value,
+                        self.tracer, self.metrics, kind="instant",
+                    )
+            outcome = conclude_recovery(
+                "instant", state, evaluator.stats,
+                bool(self.quarantine_seed), self.oracle,
+                self.initial_value, self.tracer,
             )
-            quarantined: List[PageId] = []
-            if self.quarantine_seed:
-                quarantined = poisoned
-                poisoned = []
-                if self.tracer.enabled:
-                    for pid in quarantined:
-                        self.tracer.emit(
-                            QUARANTINE, page=str(pid), kind="instant"
-                        )
-            quarantined_set = set(quarantined)
-            diffs: List = []
-            if self.oracle is not None:
-                diffs = [
-                    d
-                    for d in diff_states(state, self.oracle, self.initial_value)
-                    if d[0] not in quarantined_set
-                ]
-            outcome = RecoveryOutcome(
-                state=state,
-                replayed=evaluator.ops_replayed,
-                skipped=evaluator.ops_skipped,
-                poisoned=poisoned,
-                diffs=diffs,
-                kind="media",
-                quarantined=quarantined,
-            )
+            # Reported as the media recovery it is byte-identical to.
+            outcome.kind = "media"
             self._drained = outcome
         if self.tracer.enabled:
             self.tracer.emit(

@@ -28,36 +28,29 @@ The generation-selection gate (:func:`resolve_media_target` +
 (:mod:`repro.recovery.instant_restore`) makes exactly the same choice the
 offline path would — the equivalence property depends on it.
 
-Restore and roll-forward run as **one streamed pass**: the chosen image
-is iterated once (``iter_pages``), feeding the stable re-format and the
-replay state simultaneously, so peak memory is O(backup pages held in
-``state``) instead of the old O(2·DB) double materialization
-(``chosen.pages()`` dict + a second full dict re-read from stable).
+This module is the *gate*; the restore-and-roll-forward itself is the
+shared pipeline (:func:`repro.recovery.pipeline.run_recovery`), which
+streams the chosen image once into both the stable re-format and the
+replay state, so peak memory is O(backup pages held in ``state``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NoBackupError, RecoveryError
-from repro.ids import LSN, NULL_LSN, PageId
+from repro.ids import LSN, PageId
 from repro.obs.events import (
     CHAIN_FALLBACK,
     CORRUPTION_DETECTED,
-    QUARANTINE,
     RECOVERY_PHASE,
-    RESTORE_DROP,
 )
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import (
-    POISON,
-    contains_poison,
-    surviving_poison,
-)
+from repro.recovery.explain import RecoveryOutcome
+# install_recovered_page is re-exported: it lived here before the shared
+# pipeline and callers still import it from this module.
+from repro.recovery.pipeline import install_recovered_page, run_recovery
 from repro.storage.backup_db import BackupDatabase
-from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
 from repro.wal.log_manager import LogManager
 
@@ -190,42 +183,6 @@ def select_generation(
     return backup, damaged
 
 
-def install_recovered_page(
-    stable: StableDatabase,
-    pid: PageId,
-    version: PageVersion,
-    initial_value: Any,
-    tracer=None,
-    metrics=None,
-    kind: str = "media",
-) -> bool:
-    """Install one replayed page into stable, with drop/quarantine rules.
-
-    Out-of-layout pages (a replayed logical op can touch identifiers the
-    stable layout never held, e.g. in the degrade path) are **not**
-    installed — but they are never dropped silently: a ``RESTORE_DROP``
-    event and ``Metrics.pages_dropped_out_of_layout`` record each one.
-    Pages whose value still carries POISON are formatted to the initial
-    value rather than installing garbage.  Returns ``True`` iff the
-    page's replayed value was installed as-is.
-    """
-    if not stable.layout.contains(pid):
-        if metrics is not None:
-            metrics.pages_dropped_out_of_layout += 1
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                RESTORE_DROP, page=str(pid), reason="out-of-layout",
-                kind=kind,
-            )
-        return False
-    if contains_poison(version.value):
-        # Quarantined: format the cell rather than install garbage.
-        stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
-        return False
-    stable.install_version(pid, version)
-    return True
-
-
 def run_media_recovery(
     stable: StableDatabase,
     backup: BackupDatabase,
@@ -249,93 +206,27 @@ def run_media_recovery(
     """
     tracer = NULL_TRACER if tracer is None else tracer
     target = resolve_media_target(backup, log, to_lsn)
-
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind="media", phase="begin",
                     backup_id=backup.backup_id, target_lsn=target)
-
     # Integrity gate: pick the newest generation whose image is intact.
     chosen, quarantine_seed = select_generation(
         backup, target, log, fallback, tracer, metrics
     )
-
-    # (1) Off-line restore, streamed: one pass over the chosen image
-    # feeds both the stable re-format and the replay state — the backup
-    # is never materialized as a second full dict.
-    state: Dict[PageId, PageVersion] = {}
-    seeds = set(quarantine_seed)
-
-    def _stream():
-        for pid, ver in chosen.iter_pages():
-            if pid in seeds:
-                continue
-            state[pid] = ver
-            yield pid, ver
-
-    with tracer.span("recovery.media.restore"):
-        stable.restore_from(_stream(), initial_value=initial_value)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media", phase="restore",
-                    backup_id=chosen.backup_id,
-                    scan_start_lsn=chosen.media_scan_start_lsn)
-
-    # (2) Roll forward with the media recovery log.  Pages absent from
-    # ``state`` (never copied, or formatted to the initial value) are
-    # materialized lazily by the replayer, exactly as the formatted cell
-    # would read.
-    for pid in quarantine_seed:
-        # Content lost; POISON propagates honestly through replay unless
-        # a later blind record rewrites the page.
-        state[pid] = PageVersion(POISON, NULL_LSN)
-    replayer = make_replayer(
+    return run_recovery(
+        "media",
+        chosen.iter_pages(),
+        log.merge_scan(chosen.media_scan_start_lsn, target),
+        stable=stable,
+        restore=stable.restore_from,
+        seeds=quarantine_seed,
+        expected=oracle,
         initial_value=initial_value,
         tracer=tracer,
-        redo_workers=redo_workers,
         metrics=metrics,
-    )
-    with tracer.span("recovery.media.redo"):
-        stats = replayer.replay(
-            log.merge_scan(chosen.media_scan_start_lsn, target), state
-        )
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media", phase="redo",
-                    replayed=stats.ops_replayed, skipped=stats.ops_skipped)
-    poisoned = surviving_poison(state)
-    quarantined: List[PageId] = []
-    if quarantine_seed:
-        # Every surviving POISON traces back to the corrupted pages (the
-        # seeds plus anything their loss transitively tainted).
-        quarantined = poisoned
-        poisoned = []
-        if tracer.enabled:
-            for pid in quarantined:
-                tracer.emit(QUARANTINE, page=str(pid), kind="media")
-    quarantined_set = set(quarantined)
-    diffs = []
-    if oracle is not None:
-        diffs = [
-            d
-            for d in diff_states(state, oracle, initial_value)
-            if d[0] not in quarantined_set
-        ]
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="media", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned),
-                        quarantined=len(quarantined))
-    for pid, ver in state.items():
-        install_recovered_page(
-            stable, pid, ver, initial_value, tracer, metrics, kind="media"
-        )
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="media", phase="complete",
-                    ok=not poisoned and not diffs,
-                    quarantined=len(quarantined))
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="media",
-        quarantined=quarantined,
+        redo_workers=redo_workers,
+        phase_fields={"restore": dict(
+            backup_id=chosen.backup_id,
+            scan_start_lsn=chosen.media_scan_start_lsn,
+        )},
     )

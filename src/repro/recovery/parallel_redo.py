@@ -2,16 +2,17 @@
 
 Serial :class:`~repro.recovery.redo.RedoReplayer` walks the log slice in
 LSN order — one record at a time, even when consecutive records touch
-disjoint pages.  This module replays the same slice *conflict-serially*
-instead: a record depends on an earlier record iff the two share a page
-and at least one of them writes it (WW, RW and WR conflicts; RR pairs
-commute).  Records whose dependencies have all been applied are *ready*
-and may run concurrently; the dependency DAG guarantees every per-page
-read and write happens in exactly the order the serial replay would
-have produced, so the final ``{PageId: PageVersion}`` state, the
-:class:`~repro.recovery.redo.ReplayStats` counters, and the poison
-classification are byte-identical to the serial replayer's (pinned by
-``tests/property/test_parallel_redo.py``).
+disjoint pages.  This module is a second *scheduler* over the same redo
+kernel (:func:`~repro.recovery.redo.apply_record`): it runs the slice
+*conflict-serially* instead.  A record depends on an earlier record iff
+the two share a page and at least one of them writes it (WW, RW and WR
+conflicts; RR pairs commute).  Records whose dependencies have all been
+applied are *ready* and may run concurrently; the dependency DAG
+guarantees every per-page read and write happens in exactly the order
+the serial replay would have produced, so the final ``{PageId:
+PageVersion}`` state, the :class:`~repro.recovery.redo.ReplayStats`
+counters, and the poison classification are byte-identical to the
+serial replayer's (pinned by ``tests/property/test_parallel_redo.py``).
 
 Scheduling mirrors the incremental ready-queue machinery of
 :class:`~repro.recovery.refined_write_graph.DynamicWriteGraph`: an
@@ -28,7 +29,7 @@ releasing successors into the ready queue.  Two execution lanes:
   among the ready ones, so multi-partition effects install in log
   order relative to each other.
 
-Stats are assembled from per-record outcome slots *in record order*
+Stats are tallied from the per-record kernel results *in record order*
 after the fan-out completes, which keeps ``poisoned`` page order and
 every counter identical to the serial loop regardless of completion
 order.  ``REDO_OP`` trace events gain a ``worker`` field (0 = the
@@ -42,23 +43,20 @@ import heapq
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Any, Dict, Iterable, List, MutableMapping, Optional, Tuple
 
-from repro.ids import NULL_LSN, PageId
-from repro.obs.events import REDO_OP
+from repro.ids import PageId
 from repro.obs.tracer import NULL_TRACER
 from repro.recovery.redo import (
-    POISON,
-    REPLAY_CHUNK,
     RedoReplayer,
+    Replayed,
     ReplayStats,
+    apply_record,
+    emit_redo_op,
+    state_reader,
 )
 from repro.storage.page import PageVersion
 from repro.wal.records import LogRecord
-
-#: Outcome slot for a record the LSN test skipped.
-_SKIPPED = object()
 
 
 def make_replayer(
@@ -69,10 +67,10 @@ def make_replayer(
 ):
     """Serial replayer at 1 worker, parallel fan-out above.
 
-    Every log consumer (crash / media / selective / chain recovery)
-    builds its replayer here so the ``redo_workers`` knob reaches all
-    of them through one seam; both returned classes expose the same
-    ``replay(records, state) -> ReplayStats`` contract.
+    The recovery pipeline (:func:`repro.recovery.pipeline.run_recovery`)
+    builds its replayer here, so the ``redo_workers`` knob reaches every
+    recovery flavour through one seam; both returned classes expose the
+    same ``replay(records, state) -> ReplayStats`` contract.
     """
     if redo_workers <= 1:
         return RedoReplayer(initial_value=initial_value, tracer=tracer)
@@ -106,25 +104,9 @@ class ParallelRedoReplayer:
                 "RedoReplayer (or make_replayer) for the serial path"
             )
         self._initial_value = initial_value
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.workers = workers
         self.metrics = metrics
-
-    # -- state access (identical semantics to RedoReplayer._version) ----
-
-    def _version(
-        self, state: MutableMapping[PageId, PageVersion], page: PageId
-    ) -> PageVersion:
-        version = state.get(page)
-        if version is None:
-            # Benign race: two readers of a never-written page may both
-            # materialize PageVersion(initial, NULL_LSN); the values are
-            # equal and dict stores are GIL-atomic, so either install
-            # yields the same state.  Conflicting (written) pages are
-            # serialised by the dependency DAG and cannot race here.
-            version = PageVersion(self._initial_value, NULL_LSN)
-            state[page] = version
-        return version
 
     # -- public API -----------------------------------------------------
 
@@ -133,8 +115,7 @@ class ParallelRedoReplayer:
         records: Iterable[LogRecord],
         state: MutableMapping[PageId, PageVersion],
     ) -> ReplayStats:
-        stats, _ = self._execute(records, state, capture_effects=False)
-        return stats
+        return self._execute(records, state)[0]
 
     def replay_with_effects(
         self,
@@ -148,7 +129,8 @@ class ParallelRedoReplayer:
         what the instant-restore slice evaluator memoizes, letting its
         background sweep prime the whole memo table in parallel.
         """
-        return self._execute(records, state, capture_effects=True)
+        stats, outcomes = self._execute(records, state)
+        return stats, [outcome and outcome[0] for outcome in outcomes]
 
     # -- graph construction --------------------------------------------
 
@@ -195,97 +177,26 @@ class ParallelRedoReplayer:
             single_partition[i] = len(partitions) <= 1
         return indegree, successors, single_partition
 
-    # -- one replay iteration (statement-for-statement serial clone) ----
-
-    def _apply_record(
-        self,
-        index: int,
-        record: LogRecord,
-        state: MutableMapping[PageId, PageVersion],
-        outcomes: list,
-        effects,
-        worker_id: int,
-        shard,
-    ) -> None:
-        tracer = self.tracer
-        trace = tracer.enabled
-        op = record.op
-        stale = [
-            page
-            for page in op.writeset
-            if self._version(state, page).page_lsn < record.lsn
-        ]
-        if not stale:
-            outcomes[index] = _SKIPPED
-            if trace:
-                tracer.emit(
-                    REDO_OP, lsn=record.lsn, action="skip", worker=worker_id
-                )
-            return
-        partial = len(stale) < len(op.writeset)
-        reads: Dict[PageId, Any] = {
-            page: self._version(state, page).value for page in op.readset
-        }
-        poisoned_here = False
-        try:
-            result = op.apply(reads)
-        except Exception:
-            result = {page: POISON for page in stale}
-            poisoned_here = True
-        if trace:
-            tracer.emit(
-                REDO_OP,
-                lsn=record.lsn,
-                action="replay",
-                stale=len(stale),
-                writeset=len(op.writeset),
-                poisoned=poisoned_here,
-                worker=worker_id,
-            )
-        installed: Dict[PageId, PageVersion] = {}
-        for page in stale:
-            version = PageVersion.__new__(PageVersion)
-            # Bypass value checking: POISON and arbitrary replay results
-            # are stored as-is so the final verification sees them.
-            object.__setattr__(version, "value", result[page])
-            object.__setattr__(version, "page_lsn", record.lsn)
-            state[page] = version
-            installed[page] = version
-        outcomes[index] = (partial, stale if poisoned_here else None)
-        if effects is not None:
-            effects[index] = installed
-        if shard is not None:
-            if worker_id == 0:
-                shard.redo_ops_coordinated += 1
-            else:
-                shard.redo_ops_fast_path += 1
-
     # -- scheduling -----------------------------------------------------
 
     def _execute(
         self,
         records: Iterable[LogRecord],
         state: MutableMapping[PageId, PageVersion],
-        capture_effects: bool,
-    ):
-        # Chunked materialization: pull the (possibly heapq.merge-backed)
-        # scan in blocks rather than one next() per record.
-        record_list: List[LogRecord] = []
-        source = iter(records)
-        while True:
-            block = list(islice(source, REPLAY_CHUNK))
-            if not block:
-                break
-            record_list.extend(block)
+    ) -> Tuple[ReplayStats, List[Optional[Replayed]]]:
+        record_list: List[LogRecord] = list(records)
         n = len(record_list)
-        effects: Optional[list] = [None] * n if capture_effects else None
+        stats = ReplayStats(records_seen=n)
+        # One kernel result per record; ``None`` is a skipped record.
+        outcomes: List[Optional[Replayed]] = [None] * n
         if n == 0:
-            return ReplayStats(), effects
+            return stats, outcomes
 
         indegree, successors, single_partition = self._build_graph(
             record_list
         )
-        outcomes: list = [None] * n
+        version_of = state_reader(state, self._initial_value)
+        tracer = self.tracer
         metrics = self.metrics
         shards: Dict[int, Any] = {}
         worker_ids: Dict[int, int] = {threading.get_ident(): 0}
@@ -308,17 +219,28 @@ class ParallelRedoReplayer:
                         shard = shards[worker_id] = metrics.shard()
             return worker_id, shard
 
+        def enqueue(index: int) -> int:
+            """Queue a ready record; 1 if it went to the pool's lane."""
+            if single_partition[index]:
+                ready_single.append(index)
+                return 1
+            heapq.heappush(ready_cross, index)
+            return 0
+
         def run_one(index: int, worker_id: int, shard) -> None:
+            record = record_list[index]
             try:
-                self._apply_record(
-                    index,
-                    record_list[index],
-                    state,
-                    outcomes,
-                    effects,
-                    worker_id,
-                    shard,
-                )
+                # The kernel, then the install into the shared state.
+                outcome = outcomes[index] = apply_record(record, version_of)
+                if tracer.enabled:
+                    emit_redo_op(tracer, record, outcome, worker=worker_id)
+                if outcome is not None:
+                    state.update(outcome[0])
+                    if shard is not None:
+                        if worker_id == 0:
+                            shard.redo_ops_coordinated += 1
+                        else:
+                            shard.redo_ops_fast_path += 1
             except BaseException as exc:  # op.apply errors are handled
                 with cond:  # inside; anything else aborts the replay.
                     errors.append(exc)
@@ -331,11 +253,7 @@ class ParallelRedoReplayer:
                     for succ in successors[index]:
                         indegree[succ] -= 1
                         if indegree[succ] == 0:
-                            if single_partition[succ]:
-                                ready_single.append(succ)
-                                newly_single += 1
-                            else:
-                                heapq.heappush(ready_cross, succ)
+                            newly_single += enqueue(succ)
                 cond.notify_all()
             # One pool task per single record that just became ready: a
             # task pops exactly one queue entry, so submissions and
@@ -359,14 +277,7 @@ class ParallelRedoReplayer:
                 # replay and the coordinator is tearing down.
                 pass
 
-        seed_single = 0
-        for i in range(n):
-            if indegree[i] == 0:
-                if single_partition[i]:
-                    ready_single.append(i)
-                    seed_single += 1
-                else:
-                    heapq.heappush(ready_cross, i)
+        seed_single = sum(enqueue(i) for i in range(n) if indegree[i] == 0)
 
         coordinator_shard = None
         if metrics is not None:
@@ -394,16 +305,6 @@ class ParallelRedoReplayer:
             for worker_id in sorted(shards):
                 metrics.absorb(shards[worker_id])
 
-        stats = ReplayStats()
-        stats.records_seen = n
-        for outcome in outcomes:
-            if outcome is _SKIPPED:
-                stats.ops_skipped += 1
-                continue
-            partial, poisoned_pages = outcome
-            stats.ops_replayed += 1
-            if partial:
-                stats.partial_replays += 1
-            if poisoned_pages:
-                stats.poisoned.extend(poisoned_pages)
-        return stats, effects
+        for record, outcome in zip(record_list, outcomes):
+            stats.tally(record, outcome)
+        return stats, outcomes

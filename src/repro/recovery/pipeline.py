@@ -1,0 +1,220 @@
+"""The one recovery pipeline every recovery flavour runs through.
+
+The paper's media recovery is "restore, then roll forward with redo";
+crash recovery is the same roll-forward over the surviving stable
+database.  Every flavour here — crash, media, media-chain, partition,
+selective, the archive tier's page rebuild — is that one sequence with a
+different base image and log slice: *base → replay → classify → verify
+→ install* (:func:`run_recovery`; diagram in ``docs/API.md``).  The entry
+points (``run_crash_recovery``, ``run_media_recovery``, …) validate
+their inputs, pick the base and the slice, and call it.  Instant restore
+replays and installs on demand instead, page by page, so its drain joins
+at the *classify* step (:func:`conclude_recovery`).
+"""
+
+from __future__ import annotations
+
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.ids import NULL_LSN, PageId
+from repro.obs.events import QUARANTINE, RECOVERY_PHASE, RESTORE_DROP
+from repro.obs.tracer import NULL_TRACER
+from repro.recovery.explain import RecoveryOutcome, diff_states
+from repro.recovery.parallel_redo import make_replayer
+from repro.recovery.redo import (
+    POISON,
+    ReplayStats,
+    contains_poison,
+    surviving_poison,
+)
+from repro.storage.page import PageVersion
+from repro.storage.stable_db import StableDatabase
+from repro.wal.records import LogRecord
+
+PageStream = Iterable[Tuple[PageId, PageVersion]]
+
+
+def install_recovered_page(
+    stable: StableDatabase,
+    pid: PageId,
+    version: PageVersion,
+    initial_value: Any,
+    tracer=None,
+    metrics=None,
+    kind: str = "media",
+) -> bool:
+    """Install one replayed page into stable, with drop/quarantine rules.
+
+    Out-of-layout pages (a replayed logical op can touch identifiers the
+    stable layout never held, e.g. in the degrade path) are **not**
+    installed — but they are never dropped silently: a ``RESTORE_DROP``
+    event and ``Metrics.pages_dropped_out_of_layout`` record each one.
+    Pages whose value still carries POISON are formatted to the initial
+    value rather than installing garbage.  Returns ``True`` iff the
+    page's replayed value was installed as-is.
+    """
+    if not stable.layout.contains(pid):
+        if metrics is not None:
+            metrics.pages_dropped_out_of_layout += 1
+        if tracer is not None and tracer.enabled:
+            tracer.emit(
+                RESTORE_DROP, page=str(pid), reason="out-of-layout",
+                kind=kind,
+            )
+        return False
+    if contains_poison(version.value):
+        # Quarantined: format the cell rather than install garbage.
+        stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
+        return False
+    stable.install_version(pid, version)
+    return True
+
+
+def poison_seeds(seeds: Iterable[PageId]) -> Dict[PageId, PageVersion]:
+    """Replay-state entries for pages whose content is lost.
+
+    POISON propagates honestly through replay unless a later blind
+    (physical/identity) record rewrites the page.
+    """
+    return {pid: PageVersion(POISON, NULL_LSN) for pid in seeds}
+
+
+def conclude_recovery(
+    kind: str,
+    state: Dict[PageId, PageVersion],
+    stats: ReplayStats,
+    seeded: bool = False,
+    expected: Optional[Mapping[PageId, Any]] = None,
+    initial_value: Any = None,
+    tracer=NULL_TRACER,
+) -> RecoveryOutcome:
+    """Classify and verify a replayed ``state``: the recovery verdict.
+
+    Surviving POISON is the paper's "cannot be recovered" — unless damage
+    was ``seeded``: then every surviving POISON traces back to the
+    corrupted pages (the seeds replay could not heal plus anything their
+    loss transitively tainted) and is the *quarantine* report instead,
+    excluded from the diff against ``expected``.
+    """
+    poisoned = surviving_poison(state)
+    quarantined = []
+    if seeded:
+        quarantined, poisoned = poisoned, []
+        if tracer.enabled:
+            for pid in quarantined:
+                tracer.emit(QUARANTINE, page=str(pid), kind=kind)
+    diffs = []
+    if expected is not None:
+        lost = set(quarantined)
+        diffs = [
+            d
+            for d in diff_states(state, expected, initial_value)
+            if d[0] not in lost
+        ]
+    return RecoveryOutcome(
+        state=state,
+        replayed=stats.ops_replayed,
+        skipped=stats.ops_skipped,
+        poisoned=poisoned,
+        diffs=diffs,
+        kind=kind,
+        quarantined=quarantined,
+    )
+
+
+def _capture(pages: PageStream, state: Dict[PageId, PageVersion]) -> Iterator:
+    """Tee a page stream into ``state`` while the restore consumes it."""
+    for pid, version in pages:
+        state[pid] = version
+        yield pid, version
+
+
+def run_recovery(
+    kind: str,
+    base: PageStream,
+    records: Iterable[LogRecord],
+    *,
+    stable: Optional[StableDatabase],
+    restore: Optional[Callable[[PageStream, Any], None]] = None,
+    seeds: Sequence[PageId] = (),
+    expected: Optional[Mapping[PageId, Any]] = None,
+    initial_value: Any = None,
+    tracer=None,
+    metrics=None,
+    redo_workers: int = 1,
+    phase_fields: Optional[Mapping[str, Mapping[str, Any]]] = None,
+) -> RecoveryOutcome:
+    """Base → replay → classify → verify → install.
+
+    ``base`` streams the starting image once.  With ``restore`` (the
+    media flavours) that one pass feeds both ``restore(pages,
+    initial_value)`` — ``StableDatabase.restore_from`` or a like of it,
+    laying the stream onto the failed store — and the replay state, so
+    the image is never materialized a second time; without it the base
+    already *is* what the store holds (crash).  ``seeds`` are pages
+    whose content is lost: kept out of the base, replayed as POISON.
+    Pages absent from the base read as the formatted cell does.
+
+    ``records`` is the log slice to redo, ``expected`` the state to
+    verify against.  ``stable`` is the install target; ``None`` computes
+    the recovered state without touching any store.  ``phase_fields``
+    adds flavour-specific fields to the ``restore`` / ``redo``
+    ``RECOVERY_PHASE`` events.
+    """
+    tracer = NULL_TRACER if tracer is None else tracer
+    span = "recovery." + kind.replace("-", "_")
+    phase_fields = phase_fields or {}
+    if seeds:
+        lost = set(seeds)
+        base = (entry for entry in base if entry[0] not in lost)
+    if restore is None:
+        state = dict(base)
+    else:
+        state = {}
+        with tracer.span(span + ".restore"):
+            restore(_capture(base, state), initial_value)
+        if tracer.enabled:
+            tracer.emit(RECOVERY_PHASE, kind=kind, phase="restore",
+                        **phase_fields.get("restore", {}))
+    state.update(poison_seeds(seeds))
+
+    replayer = make_replayer(
+        initial_value=initial_value,
+        tracer=tracer,
+        redo_workers=redo_workers,
+        metrics=metrics,
+    )
+    with tracer.span(span + ".redo"):
+        stats = replayer.replay(records, state)
+    if tracer.enabled:
+        tracer.emit(RECOVERY_PHASE, kind=kind, phase="redo",
+                    replayed=stats.ops_replayed, skipped=stats.ops_skipped,
+                    **phase_fields.get("redo", {}))
+
+    outcome = conclude_recovery(
+        kind, state, stats, bool(seeds), expected, initial_value, tracer
+    )
+    if expected is not None and tracer.enabled:
+        tracer.emit(RECOVERY_PHASE, kind=kind, phase="verify",
+                    diffs=len(outcome.diffs),
+                    poisoned=len(outcome.poisoned),
+                    quarantined=len(outcome.quarantined))
+    if stable is not None:
+        for pid, version in state.items():
+            install_recovered_page(
+                stable, pid, version, initial_value, tracer, metrics, kind
+            )
+    if tracer.enabled:
+        tracer.emit(RECOVERY_PHASE, kind=kind, phase="complete",
+                    ok=outcome.ok, quarantined=len(outcome.quarantined))
+    return outcome

@@ -1,14 +1,23 @@
-"""LSN-based redo test and log replay (sections 2.1, 2.3).
+"""The redo kernel and the LSN-order replayer (sections 2.1, 2.3).
 
-Replay applies log records over a page-version mapping in *conflict
-order*: this serial replayer walks the slice in LSN order, and the
-dependency-aware :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer`
-applies non-conflicting records concurrently — the contract either way
-is a serial-equivalent outcome, i.e. state, stats and poison sets as if
-every record ran in LSN order.  The redo test is the usual LSN
-comparison: an operation with LSN ``L`` is replayed against target page
-X iff ``page_lsn(X) < L``; pages already carrying the operation's
-effect are left alone (state is never reset).
+Everything that replays the log funnels through **one kernel**,
+:func:`apply_record`: the LSN redo test per write-set page — an operation
+with LSN ``L`` is replayed against target page X iff ``page_lsn(X) < L``;
+pages already carrying the operation's effect are left alone (state is
+never reset) — then one ``op.apply`` over the read set.  The kernel
+neither walks a log nor owns a state; it sees pages only through the
+``version_of`` callable its caller hands it.  Three thin *schedulers*
+decide which record runs when and where its effect lands:
+
+* :class:`RedoReplayer` (this module) — the slice in LSN order;
+* :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer` — the
+  conflict DAG of the slice on a worker pool;
+* the instant-restore slice evaluator
+  (:mod:`repro.recovery.instant_restore`) — on demand, memoized, only
+  the records a requested page depends on.
+
+The contract of all three is a serial-equivalent outcome: state, stats
+and poison sets as if every record ran through the kernel in LSN order.
 
 Replay is deliberately tolerant of garbage inputs: a page that was removed
 from a flush set because it became *unexposed* can hold a stale value that
@@ -24,9 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, List, MutableMapping
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Tuple,
+)
 
-from repro.ids import LSN, NULL_LSN, PageId
+from repro.ids import NULL_LSN, PageId
 from repro.obs.events import REDO_OP
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.page import PageVersion
@@ -54,6 +73,76 @@ POISON = _Poison()
 #: overhead at replay scale; ``islice`` blocks consume it at C speed.
 REPLAY_CHUNK = 256
 
+#: What the kernel returns for a replayed record: the ``{page: version}``
+#: it rewrote (the stale write-set pages, in write-set order) and whether
+#: the transform raised (every version then carries :data:`POISON`).
+#: ``None`` stands for a record the redo test skipped.
+Replayed = Tuple[Dict[PageId, PageVersion], bool]
+
+
+def apply_record(
+    record: LogRecord, version_of: Callable[[PageId], PageVersion]
+) -> Optional[Replayed]:
+    """Redo one record against the pages ``version_of`` exposes.
+
+    ``version_of(page)`` must return the page's version as this record
+    would observe it in LSN order.  The returned versions bypass value
+    checking, so POISON and arbitrary replay results are stored as-is
+    for the final verification to see.  A replay is *partial* when the
+    effect is smaller than the write set.
+    """
+    op = record.op
+    lsn = record.lsn
+    stale = [page for page in op.writeset if version_of(page).page_lsn < lsn]
+    if not stale:
+        return None
+    reads = {page: version_of(page).value for page in op.readset}
+    poisoned = False
+    try:
+        result = op.apply(reads)
+    except Exception:
+        result = dict.fromkeys(stale, POISON)
+        poisoned = True
+    effect: Dict[PageId, PageVersion] = {}
+    for page in stale:
+        version = effect[page] = PageVersion.__new__(PageVersion)
+        object.__setattr__(version, "value", result[page])
+        object.__setattr__(version, "page_lsn", lsn)
+    return effect, poisoned
+
+
+def state_reader(
+    state: Mapping[PageId, PageVersion], initial_value: Any
+) -> Callable[[PageId], PageVersion]:
+    """``version_of`` over a replay state the scheduler updates in place.
+
+    A page absent from ``state`` reads as the freshly formatted cell
+    (initial value, ``NULL_LSN``); a lookup never adds it, so the state
+    only ever holds the base image plus what replay wrote.
+    """
+    get = state.get
+    formatted = PageVersion(initial_value, NULL_LSN)
+    return lambda page: get(page, formatted)
+
+
+def emit_redo_op(
+    tracer, record: LogRecord, outcome: Optional[Replayed], **extra
+) -> None:
+    """The ``REDO_OP`` trace event for one kernel result."""
+    if outcome is None:
+        tracer.emit(REDO_OP, lsn=record.lsn, action="skip", **extra)
+        return
+    effect, poisoned = outcome
+    tracer.emit(
+        REDO_OP,
+        lsn=record.lsn,
+        action="replay",
+        stale=len(effect),
+        writeset=len(record.op.writeset),
+        poisoned=poisoned,
+        **extra,
+    )
+
 
 @dataclass
 class ReplayStats:
@@ -63,22 +152,26 @@ class ReplayStats:
     partial_replays: int = 0
     poisoned: List[PageId] = field(default_factory=list)
 
+    def tally(self, record: LogRecord, outcome: Optional[Replayed]) -> None:
+        """Count one kernel result."""
+        if outcome is None:
+            self.ops_skipped += 1
+            return
+        effect, poisoned = outcome
+        self.ops_replayed += 1
+        if len(effect) < len(record.op.writeset):
+            self.partial_replays += 1
+        if poisoned:
+            self.poisoned.extend(effect)
+
 
 class RedoReplayer:
-    """Replays records over a ``{PageId: PageVersion}`` state in place."""
+    """Replays records over a ``{PageId: PageVersion}`` state in place,
+    one kernel call per record in LSN order."""
 
     def __init__(self, initial_value: Any = None, tracer=None):
         self._initial_value = initial_value
-        self.tracer = tracer or NULL_TRACER
-
-    def _version(
-        self, state: MutableMapping[PageId, PageVersion], page: PageId
-    ) -> PageVersion:
-        version = state.get(page)
-        if version is None:
-            version = PageVersion(self._initial_value, NULL_LSN)
-            state[page] = version
-        return version
+        self.tracer = NULL_TRACER if tracer is None else tracer
 
     def replay(
         self,
@@ -90,56 +183,21 @@ class RedoReplayer:
         # check per record, when tracing is off (the default).
         tracer = self.tracer
         trace = tracer.enabled
+        version_of = state_reader(state, self._initial_value)
         source = iter(records)
         while True:
             block = list(islice(source, REPLAY_CHUNK))
             if not block:
                 break
             stats.records_seen += len(block)
-            self._replay_block(block, state, stats, tracer, trace)
-        return stats
-
-    def _replay_block(self, block, state, stats, tracer, trace):
-        for record in block:
-            op = record.op
-            stale = [
-                page
-                for page in op.writeset
-                if self._version(state, page).page_lsn < record.lsn
-            ]
-            if not stale:
-                stats.ops_skipped += 1
+            for record in block:
+                outcome = apply_record(record, version_of)
                 if trace:
-                    tracer.emit(REDO_OP, lsn=record.lsn, action="skip")
-                continue
-            if len(stale) < len(op.writeset):
-                stats.partial_replays += 1
-            reads: Dict[PageId, Any] = {
-                page: self._version(state, page).value for page in op.readset
-            }
-            poisoned_here = False
-            try:
-                result = op.apply(reads)
-            except Exception:
-                result = {page: POISON for page in stale}
-                stats.poisoned.extend(stale)
-                poisoned_here = True
-            if trace:
-                tracer.emit(
-                    REDO_OP,
-                    lsn=record.lsn,
-                    action="replay",
-                    stale=len(stale),
-                    writeset=len(op.writeset),
-                    poisoned=poisoned_here,
-                )
-            for page in stale:
-                state[page] = PageVersion.__new__(PageVersion)
-                # Bypass value checking: POISON and arbitrary replay results
-                # are stored as-is so the final verification sees them.
-                object.__setattr__(state[page], "value", result[page])
-                object.__setattr__(state[page], "page_lsn", record.lsn)
-            stats.ops_replayed += 1
+                    emit_redo_op(tracer, record, outcome)
+                if outcome is not None:
+                    state.update(outcome[0])
+                stats.tally(record, outcome)
+        return stats
 
 
 def contains_poison(value: Any) -> bool:

@@ -33,17 +33,15 @@ reports precisely which innocent operations had to be sacrificed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import NoBackupError, RecoveryError
 from repro.ids import LSN, PageId
 from repro.obs.events import RECOVERY_PHASE
 from repro.obs.tracer import NULL_TRACER
-from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.parallel_redo import make_replayer
-from repro.recovery.redo import surviving_poison
+from repro.recovery.explain import RecoveryOutcome
+from repro.recovery.pipeline import run_recovery
 from repro.storage.backup_db import BackupDatabase
-from repro.storage.page import PageVersion
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord
 
@@ -148,7 +146,7 @@ def run_selective_redo(
     ``group_of`` enables transaction-atomic exclusion (see
     :func:`compute_taint`).
     """
-    tracer = tracer or NULL_TRACER
+    tracer = NULL_TRACER if tracer is None else tracer
     if backup is None or not backup.is_complete:
         raise NoBackupError("selective redo requires a completed backup")
     target = log.end_lsn if to_lsn is None else to_lsn
@@ -189,50 +187,26 @@ def run_selective_redo(
         )
 
     # Off-line restore, then roll forward the kept records only.
-    with tracer.span("recovery.selective.restore"):
-        stable.restore_from(backup.pages(), initial_value=initial_value)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="selective", phase="restore",
-                    scan_start_lsn=backup.media_scan_start_lsn)
-    state: Dict[PageId, PageVersion] = {
-        pid: ver for pid, ver in stable.iter_pages()
-    }
     excluded = analysis.excluded
-    replayer = make_replayer(
+    outcome = run_recovery(
+        "selective",
+        backup.iter_pages(),
+        (record for record in records if record.lsn not in excluded),
+        stable=stable,
+        restore=stable.restore_from,
+        expected=(
+            expected_state_excluding(log, excluded, initial_value)
+            if verify and to_lsn is None
+            else None
+        ),
         initial_value=initial_value,
         tracer=tracer,
-        redo_workers=redo_workers,
         metrics=metrics,
+        redo_workers=redo_workers,
+        phase_fields={
+            "restore": dict(scan_start_lsn=backup.media_scan_start_lsn),
+            "redo": dict(excluded=len(excluded)),
+        },
     )
-    kept = (record for record in records if record.lsn not in excluded)
-    with tracer.span("recovery.selective.redo"):
-        stats = replayer.replay(kept, state)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="selective", phase="redo",
-                    replayed=stats.ops_replayed, skipped=stats.ops_skipped,
-                    excluded=len(excluded))
-    poisoned = surviving_poison(state)
-
-    diffs: List[Tuple[PageId, Any, Any]] = []
-    if verify and to_lsn is None:
-        expected = expected_state_excluding(log, excluded, initial_value)
-        diffs = diff_states(state, expected, initial_value)
-        if tracer.enabled:
-            tracer.emit(RECOVERY_PHASE, kind="selective", phase="verify",
-                        diffs=len(diffs), poisoned=len(poisoned))
-
-    for pid, ver in state.items():
-        if stable.layout.contains(pid):
-            stable.install_version(pid, ver)
-    if tracer.enabled:
-        tracer.emit(RECOVERY_PHASE, kind="selective", phase="complete",
-                    ok=not poisoned and not diffs)
-    return RecoveryOutcome(
-        state=state,
-        replayed=stats.ops_replayed,
-        skipped=stats.ops_skipped,
-        poisoned=poisoned,
-        diffs=diffs,
-        kind="selective",
-        analysis=analysis,
-    )
+    outcome.analysis = analysis
+    return outcome

@@ -9,9 +9,10 @@ replayed by the serial :class:`RedoReplayer` and by
 states; the final page versions, every :class:`ReplayStats` counter
 (including ``poisoned`` page *order*), and the memoized effect slots
 must match exactly.  At the database layer, twin databases driven by
-the same workload crash (or lose their medium) and recover with
-``redo_workers=1`` versus ``redo_workers=4``; stable snapshots and
-recovery outcomes must match on both the memory and file backends.
+the same workload crash (or lose their medium, or one partition of it)
+and recover with ``redo_workers=1`` versus ``redo_workers=4``; stable
+snapshots and recovery outcomes must match on both the memory and file
+backends.
 """
 
 import random
@@ -28,6 +29,7 @@ from repro.ops.physiological import PhysiologicalWrite
 from repro.recovery.parallel_redo import ParallelRedoReplayer, make_replayer
 from repro.recovery.redo import RedoReplayer
 from repro.sim.metrics import Metrics
+from repro.storage.layout import Layout
 from repro.storage.page import PageVersion
 from repro.wal.records import LogRecord
 from repro.workloads import mixed_logical_workload
@@ -161,13 +163,17 @@ class TestReplayerEquivalence:
         assert metrics.redo_ops_coordinated > 0
 
 
-def _build(seed, backend="memory", data_dir=None, redo_workers=1):
+def _build(seed, backend="memory", data_dir=None, redo_workers=1,
+           confined=False):
     db = Database(
         pages_per_partition=[10, 10, 10], policy="general",
         backend=backend, data_dir=data_dir, redo_workers=redo_workers,
     )
     rng = random.Random(seed)
-    source = mixed_logical_workload(db.layout, seed=seed, count=70)
+    # ``confined``: every op stays inside partition 0, which makes that
+    # partition a unit of media recovery (recover_partition).
+    layout = Layout([10]) if confined else db.layout
+    source = mixed_logical_workload(layout, seed=seed, count=70)
     db.start_backup(BackupConfig(steps=4, batched=True))
     exhausted = False
     while db.backup_in_progress() or not exhausted:
@@ -192,13 +198,19 @@ def _assert_db_equivalent(seed, mode, backend="memory", tmp_path=None):
         dirs = [str(tmp_path / "serial"), str(tmp_path / "parallel")]
         for d in dirs:
             os.makedirs(d, exist_ok=True)
-    serial = _build(seed, backend, dirs[0], redo_workers=1)
-    parallel = _build(seed, backend, dirs[1], redo_workers=4)
+    confined = mode == "partition"
+    serial = _build(seed, backend, dirs[0], redo_workers=1,
+                    confined=confined)
+    parallel = _build(seed, backend, dirs[1], redo_workers=4,
+                      confined=confined)
     outcomes = []
     for db in (serial, parallel):
         if mode == "crash":
             db.crash()
             outcomes.append(db.recover())
+        elif mode == "partition":
+            db.fail_partition(0)
+            outcomes.append(db.recover_partition(0))
         else:
             db.media_failure()
             outcomes.append(db.media_recover())
@@ -215,6 +227,10 @@ def _assert_db_equivalent(seed, mode, backend="memory", tmp_path=None):
         + parallel.metrics.redo_ops_coordinated
     )
     assert lanes == got.replayed
+    if confined:
+        # Every replayed record lives in one partition: the pool's
+        # lock-free lane, proof that redo_workers reached this flavour.
+        assert parallel.metrics.redo_ops_fast_path > 0
     serial.close()
     parallel.close()
 
@@ -229,6 +245,11 @@ class TestDatabaseEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_media_recovery_equivalent(self, seed):
         _assert_db_equivalent(seed, "media")
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_partition_recovery_equivalent(self, seed):
+        _assert_db_equivalent(seed, "partition")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=4, deadline=None)
