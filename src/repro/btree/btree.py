@@ -174,18 +174,29 @@ class BTree:
                 return child
         raise ReproError(f"routing failed for key {key!r}: {entries!r}")
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """All (key, payload) pairs in key order."""
+    def items(self, low: Any = None) -> Iterator[Tuple[Any, Any]]:
+        """The (key, payload) pairs in key order — all of them, or with
+        ``low`` those with ``key >= low``, reached by one root-to-leaf
+        seek rather than a walk from the first leaf."""
         root, _ = self._meta()
-        yield from self._walk(root)
+        yield from self._walk(root, low)
 
-    def _walk(self, slot: int) -> Iterator[Tuple[Any, Any]]:
+    def _walk(self, slot: int, low: Any) -> Iterator[Tuple[Any, Any]]:
         value = self.db.read(self._page(slot))
         if node_kind(value) == LEAF:
-            yield from node_records(value)
+            if low is None:
+                yield from node_records(value)
+            else:
+                yield from (r for r in node_records(value) if r[0] >= low)
             return
-        for _, child in node_records(value):
-            yield from self._walk(child)
+        for k, child in node_records(value):
+            # A routing key is its subtree's largest possible key (see
+            # _route): below ``low``, nothing under it is wanted — and
+            # past the first subtree kept, everything is.
+            if low is not None and k < low:
+                continue
+            yield from self._walk(child, low)
+            low = None
 
     def height(self) -> int:
         slot = self._meta()[0]

@@ -452,16 +452,15 @@ class CacheManager:
 
     def install_some(self, count: int, rng) -> int:
         """Install up to ``count`` randomly chosen installable nodes."""
+        # Drawn over the graph's ordered ready index itself: the same
+        # draw as over installable_nodes(), without materialising it.
+        ready = self.graph.ready_index
         installed = 0
         for _ in range(count):
-            nodes = self.graph.installable_nodes()
-            if not nodes:
+            if not ready:
                 break
-            node = rng.choice(nodes)
-            live = self._live(node.node_id)
-            if live is None:
-                continue
-            self.install_node(live)
+            _, node_id = rng.choice(ready)
+            self.install_node(self.graph.node(node_id))
             installed += 1
         return installed
 

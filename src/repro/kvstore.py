@@ -71,9 +71,7 @@ class KVStore:
 
     def range(self, low: Any, high: Any) -> Iterator[Tuple[Any, Any]]:
         """All (key, value) pairs with ``low <= key <= high``, in order."""
-        for key, value in self.tree.items():
-            if key < low:
-                continue
+        for key, value in self.tree.items(low):
             if key > high:
                 break
             yield key, value

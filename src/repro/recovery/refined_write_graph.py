@@ -16,15 +16,20 @@ maintains during normal execution:
 * installing a node with no predecessors removes it, releasing its
   successors.
 
-The graph keeps an incrementally maintained **ready queue**: the set of
-node ids with no live predecessors (and the subset of those whose
+The graph keeps an incrementally maintained **ready index**: the
+``(first_lsn, node_id)`` keys of the nodes with no live predecessors, in
+one list kept sorted with ``bisect`` (plus the set of ready nodes whose
 ``vars`` are empty, i.e. drainable without a flush).  Every mutation —
 edge addition, merge, install, var removal by a blind write — updates
-the queue, so :meth:`installable_nodes` is O(ready · log ready) and a
-full drain is O(nodes + edges) instead of rescanning all live nodes on
-every call.  A companion invariant makes that sound: ``preds``/``succs``
-of live nodes only ever contain live node ids (merges and installs fix
-their neighbours eagerly), so emptiness of ``preds`` *is* readiness.
+the index by key: O(1) for a fresh node (it carries the highest LSN),
+O(log ready) to find a key plus a C-level shift to insert or delete it.
+The cache manager picks its next install straight from
+:attr:`ready_index`, so "which node may I flush next" never copies or
+sorts the ready set; :meth:`installable_nodes` is the O(ready) ordered
+copy for callers that want the nodes themselves.  A companion invariant
+makes that sound: ``preds``/``succs`` of live nodes only ever contain
+live node ids (merges and installs fix their neighbours eagerly), so
+emptiness of ``preds`` *is* readiness.
 
 ``build_refined_graph`` replays a record sequence through a
 ``DynamicWriteGraph`` without installing anything, yielding the static rW
@@ -34,7 +39,8 @@ of a log — this is what the Figure 2 test compares against W.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FlushOrderError, WriteGraphError
 from repro.ids import LSN, PageId
@@ -100,9 +106,12 @@ class DynamicWriteGraph:
         self._readers: Dict[PageId, Set[int]] = {}
         # Alias map for merged nodes (union-find style path compression).
         self._alias: Dict[int, int] = {}
-        # Ready queue: live node ids with no predecessors, and the subset
-        # of those whose vars are empty (installable without flushing).
-        self._ready: Set[int] = set()
+        # Ready index: the (first_lsn, node_id) key of every live node
+        # with no predecessors, sorted (callers read it, never write);
+        # each ready node's current key (a merge can lower it); and the
+        # ready nodes whose vars are empty (installable without flushing).
+        self.ready_index: List[Tuple[LSN, int]] = []
+        self._ready_key: Dict[int, Tuple[LSN, int]] = {}
         self._ready_empty: Set[int] = set()
 
     # -------------------------------------------------------------- plumbing
@@ -150,27 +159,36 @@ class DynamicWriteGraph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    # ------------------------------------------------------------ ready queue
+    # ------------------------------------------------------------ ready index
 
     def _refresh_ready(self, node: DynamicNode) -> None:
-        """Re-derive one live node's membership in the ready sets."""
+        """Re-derive one live node's place in the ready index."""
+        node_id = node.node_id
         if node.preds:
-            self._ready.discard(node.node_id)
-            self._ready_empty.discard(node.node_id)
+            self._unready(node_id)
+            return
+        key = (node.ops[0].lsn, node_id)
+        old = self._ready_key.get(node_id)
+        if old != key:
+            index = self.ready_index
+            if old is not None:
+                del index[bisect_left(index, old)]
+            insort(index, key)
+            self._ready_key[node_id] = key
+        if node.vars:
+            self._ready_empty.discard(node_id)
         else:
-            self._ready.add(node.node_id)
-            if node.vars:
-                self._ready_empty.discard(node.node_id)
-            else:
-                self._ready_empty.add(node.node_id)
+            self._ready_empty.add(node_id)
 
     def _unready(self, node_id: int) -> None:
-        self._ready.discard(node_id)
-        self._ready_empty.discard(node_id)
+        key = self._ready_key.pop(node_id, None)
+        if key is not None:
+            del self.ready_index[bisect_left(self.ready_index, key)]
+            self._ready_empty.discard(node_id)
 
     def _vars_shrunk(self, node: DynamicNode) -> None:
         """Called after pages were removed from a live node's vars."""
-        if not node.vars and node.node_id in self._ready:
+        if not node.vars and node.node_id in self._ready_key:
             self._ready_empty.add(node.node_id)
 
     # ---------------------------------------------------------- construction
@@ -194,8 +212,10 @@ class DynamicWriteGraph:
         node.succs = set()
         node.reads = set()
         self._nodes[node_id] = node
-        # A fresh node has no predecessors: immediately ready.
-        self._ready.add(node_id)
+        # A fresh node has no predecessors: immediately ready, and its
+        # record is the newest logged, so its key sorts last.
+        key = self._ready_key[node_id] = (record.lsn, node_id)
+        self.ready_index.append(key)
         if not vars_:
             self._ready_empty.add(node_id)
         return node
@@ -443,7 +463,7 @@ class DynamicWriteGraph:
             return node.preds
         node.preds = self._resolve_set(node.preds) - {node.node_id}
         if node.node_id in self._nodes:
-            # Keep the ready queue honest if compaction emptied preds.
+            # Keep the ready index honest if compaction emptied preds.
             self._refresh_ready(node)
         return node.preds
 
@@ -453,12 +473,11 @@ class DynamicWriteGraph:
     def installable_nodes(self) -> List[DynamicNode]:
         """Nodes with no predecessors, in increasing first-op LSN order.
 
-        Served from the incrementally maintained ready queue: O(ready ·
-        log ready), independent of the number of live nodes.
+        An O(ready) copy of the already ordered ready index; a caller
+        that only needs to pick one node reads :attr:`ready_index`.
         """
-        out = [self._nodes[nid] for nid in self._ready]
-        out.sort(key=lambda n: n.first_lsn)
-        return out
+        nodes = self._nodes
+        return [nodes[node_id] for _, node_id in self.ready_index]
 
     def installable_empty_nodes(self) -> List[DynamicNode]:
         """Ready nodes with empty ``vars``: installable without a flush.

@@ -61,6 +61,52 @@ class TestKVBasics:
         assert stats["log_records"] > 0
 
 
+@pytest.fixture(scope="module")
+def big_store():
+    store = KVStore.create(capacity_pages=8192, order=16)
+    keys = list(range(20_000))
+    random.Random(5).shuffle(keys)
+    for key in keys:
+        store.put(key, key)
+    return store
+
+
+class TestRangeSeeks:
+    """Guard: a range scan costs one root-to-leaf seek plus the leaves it
+    returns, not a walk from the first leaf (which was 0.59 of
+    kv_read_mem's wall time and all of its p99)."""
+
+    @pytest.mark.parametrize(
+        "low", [0, 1, 7_777, 10_000, 16_383, 19_970, 19_990, 19_999]
+    )
+    def test_range_reads_a_bounded_number_of_pages(
+        self, big_store, monkeypatch, low
+    ):
+        db = big_store.db
+        reads = []
+        real_read = db.read
+
+        def counting_read(page_id):
+            reads.append(page_id)
+            return real_read(page_id)
+
+        height = big_store.tree.height()
+        monkeypatch.setattr(db, "read", counting_read)
+        found = list(big_store.range(low, low + 20))
+        expected = [(k, k) for k in range(low, min(low + 21, 20_000))]
+        assert found == expected
+        assert len(reads) <= 2 * height + 4
+
+    def test_range_between_and_beyond_keys(self, store):
+        for key in range(0, 400, 4):
+            store.put(key, key)
+        assert list(store.range(101, 109)) == [(104, 104), (108, 108)]
+        assert list(store.range(-5, 0)) == [(0, 0)]
+        assert list(store.range(397, 1000)) == []
+        assert list(store.range(9, 5)) == []
+        assert [k for k, _ in store.tree.items(390)] == [392, 396]
+
+
 class TestKVDurability:
     def test_crash_and_recover(self, store):
         for key in range(30):
