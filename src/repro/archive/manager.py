@@ -554,9 +554,10 @@ class ArchiveManager:
         pages, lost = overlay_chain(
             chain[:index + 1], damaged_by_gen[:index + 1]
         )
+        image = dict(pages)
         outcome = run_recovery(
             "chain-heal",
-            pages,
+            image,
             db.log.merge_scan(base_scan, chain[index].completion_lsn),
             stable=None,
             seeds=lost,
@@ -564,7 +565,9 @@ class ArchiveManager:
             metrics=db.metrics,
             redo_workers=db.redo_workers,
         )
-        version = outcome.state.get(pid)
+        # The state holds only what replay wrote (and the lost seeds);
+        # a page it never rewrote is still as the overlay had it.
+        version = outcome.state.get(pid) or image.get(pid)
         if version is None or contains_poison(version.value):
             return None
         return version

@@ -353,10 +353,12 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
 
     def run_full() -> object:
         db.media_failure()
-        db.begin_instant_restore(verify=False, eager=True, workers=4)
+        manager = db.begin_instant_restore(
+            verify=False, eager=True, workers=4
+        )
         db.read(probe)
         outcome = db.finish_instant_restore()
-        if len(outcome.state) < partitions * size:
+        if not manager.complete:
             raise AssertionError("full restore missed pages")
         return outcome.replayed
 

@@ -2,11 +2,12 @@
 
 After a crash the volatile cache is gone; S plus the durable log prefix
 must reconstruct the current state.  Recovery is the shared pipeline
-(:func:`repro.recovery.pipeline.run_recovery`) with S's own pages as the
-base and the durable log from the scan-start (truncation) point as the
-slice — replayed serially in LSN order, or in dependency order on a
-worker pool when ``redo_workers > 1``, with a serial-equivalent outcome
-either way — and, when an oracle is supplied, verified against it.
+(:func:`repro.recovery.pipeline.run_recovery`) with S itself as the base
+— read page by page where redo looks, never copied — and the durable log
+from the scan-start (truncation) point as the slice, replayed serially
+in LSN order, or in dependency order on a worker pool when
+``redo_workers > 1``, with a serial-equivalent outcome either way — and,
+when an oracle is supplied, verified against it.
 
 Corruption handling: pages the caller has identified as damaged (stable
 checksum failures with no backup to heal from) are passed as
@@ -65,9 +66,10 @@ def run_crash_recovery(
                     rolled_back=repaired)
     return run_recovery(
         "crash",
-        # Rebuild: an empty base — every page materializes at the initial
-        # value and the full log replay reconstructs the store.
-        () if rebuild_from_log else stable.iter_pages(),
+        # S already holds the base.  Rebuild: an empty one — every page
+        # reads as the initial value and the full log replay
+        # reconstructs the store.
+        {} if rebuild_from_log else stable,
         log.durable_merge_scan(scan_start_lsn),
         stable=stable if apply_to_stable else None,
         seeds=quarantine,

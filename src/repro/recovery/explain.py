@@ -46,6 +46,10 @@ class RecoveryOutcome:
     verified; ``analysis`` carries the taint analysis for selective
     recovery, ``None`` otherwise.
 
+    ``state`` is the replay state, not the store: the quarantine seeds
+    plus the pages redo wrote, in every flavour.  Read a recovered page
+    through the database (``db.read``, ``db.stable``).
+
     ``quarantined`` is the degraded-mode report of the corruption layer:
     pages for which *no* intact copy existed anywhere (every backup
     generation damaged, no log path to rebuild).  A recovery with

@@ -298,10 +298,10 @@ class _SliceEvaluator:
             self._ensure_effect(i)
 
     def final_state(self) -> Dict[PageId, PageVersion]:
-        """The exact ``state`` dict the sequential replayer would leave:
-        the base plus every effect, in slice order.  Requires
-        :meth:`evaluate_all` first (and a fully loaded base)."""
-        state: Dict[PageId, PageVersion] = dict(self._base)
+        """What the sequential replayer would add to its ``state``: every
+        effect, in slice order — the pages the slice wrote, never the
+        base.  Requires :meth:`evaluate_all` first."""
+        state: Dict[PageId, PageVersion] = {}
         for i in range(len(self._records)):
             state.update(self._effects[i] or ())
         return state
@@ -662,10 +662,9 @@ class RestoreManager:
                         self._restore_page_locked(pid, source="background")
             evaluator = self._evaluator
             evaluator.evaluate_all()
-            # Load every backup page the demand paths never touched so
-            # final_state's base matches the offline restore image.
-            self._load_image(self._base)
-            state = evaluator.final_state()
+            # The offline replay state: the seeds plus what replay wrote.
+            state = poison_seeds(self.quarantine_seed)
+            state.update(evaluator.final_state())
             # Out-of-layout replay targets exist only in ``state`` (the
             # per-page paths never see them): run them through the
             # install rules so they are traced and counted as dropped,
@@ -676,10 +675,13 @@ class RestoreManager:
                         self.stable, pid, version, self.initial_value,
                         self.tracer, self.metrics, kind="instant",
                     )
+            if self.oracle is not None:
+                # The diff covers the whole restore image, as offline.
+                self._load_image(self._base)
             outcome = conclude_recovery(
                 "instant", state, evaluator.stats,
                 bool(self.quarantine_seed), self.oracle,
-                self.initial_value, self.tracer,
+                self.initial_value, self.tracer, self._base.items(),
             )
             # Reported as the media recovery it is byte-identical to.
             outcome.kind = "media"

@@ -30,8 +30,9 @@ offline path would — the equivalence property depends on it.
 
 This module is the *gate*; the restore-and-roll-forward itself is the
 shared pipeline (:func:`repro.recovery.pipeline.run_recovery`), which
-streams the chosen image once into both the stable re-format and the
-replay state, so peak memory is O(backup pages held in ``state``).
+streams the chosen image once onto the failed store and from there on is
+crash recovery over S: redo reads the restored cells where it looks, and
+the replay state holds only the pages it wrote.
 """
 
 from __future__ import annotations

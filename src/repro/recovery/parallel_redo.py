@@ -48,6 +48,7 @@ from typing import Any, Dict, Iterable, List, MutableMapping, Optional, Tuple
 from repro.ids import PageId
 from repro.obs.tracer import NULL_TRACER
 from repro.recovery.redo import (
+    BaseLookup,
     RedoReplayer,
     Replayed,
     ReplayStats,
@@ -64,21 +65,27 @@ def make_replayer(
     tracer=None,
     redo_workers: int = 1,
     metrics=None,
+    base: Optional[BaseLookup] = None,
 ):
     """Serial replayer at 1 worker, parallel fan-out above.
 
     The recovery pipeline (:func:`repro.recovery.pipeline.run_recovery`)
     builds its replayer here, so the ``redo_workers`` knob reaches every
     recovery flavour through one seam; both returned classes expose the
-    same ``replay(records, state) -> ReplayStats`` contract.
+    same ``replay(records, state) -> ReplayStats`` contract and read
+    pages the state does not hold through the same ``base`` lookup
+    (:func:`~repro.recovery.redo.state_reader`).
     """
     if redo_workers <= 1:
-        return RedoReplayer(initial_value=initial_value, tracer=tracer)
+        return RedoReplayer(
+            initial_value=initial_value, tracer=tracer, base=base
+        )
     return ParallelRedoReplayer(
         initial_value=initial_value,
         tracer=tracer,
         workers=redo_workers,
         metrics=metrics,
+        base=base,
     )
 
 
@@ -97,6 +104,7 @@ class ParallelRedoReplayer:
         tracer=None,
         workers: int = 2,
         metrics=None,
+        base: Optional[BaseLookup] = None,
     ):
         if workers < 2:
             raise ValueError(
@@ -104,6 +112,7 @@ class ParallelRedoReplayer:
                 "RedoReplayer (or make_replayer) for the serial path"
             )
         self._initial_value = initial_value
+        self._base = base
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.workers = workers
         self.metrics = metrics
@@ -195,7 +204,7 @@ class ParallelRedoReplayer:
         indegree, successors, single_partition = self._build_graph(
             record_list
         )
-        version_of = state_reader(state, self._initial_value)
+        version_of = state_reader(state, self._initial_value, self._base)
         tracer = self.tracer
         metrics = self.metrics
         shards: Dict[int, Any] = {}

@@ -19,11 +19,11 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.ids import NULL_LSN, PageId
@@ -97,14 +97,19 @@ def conclude_recovery(
     expected: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=NULL_TRACER,
+    base: PageStream = (),
 ) -> RecoveryOutcome:
     """Classify and verify a replayed ``state``: the recovery verdict.
 
-    Surviving POISON is the paper's "cannot be recovered" — unless damage
-    was ``seeded``: then every surviving POISON traces back to the
-    corrupted pages (the seeds replay could not heal plus anything their
-    loss transitively tainted) and is the *quarantine* report instead,
-    excluded from the diff against ``expected``.
+    ``state`` is the quarantine seeds plus what replay wrote — the only
+    place POISON can be, since no store ever holds it
+    (:func:`install_recovered_page`).  Surviving POISON is the paper's
+    "cannot be recovered" — unless damage was ``seeded``: then every
+    surviving POISON traces back to the corrupted pages (the seeds replay
+    could not heal plus anything their loss transitively tainted) and is
+    the *quarantine* report instead, excluded from the diff against
+    ``expected``.  The diff also covers the pages of ``base`` replay
+    never wrote; it is consumed only when ``expected`` is given.
     """
     poisoned = surviving_poison(state)
     quarantined = []
@@ -116,9 +121,11 @@ def conclude_recovery(
     diffs = []
     if expected is not None:
         lost = set(quarantined)
+        recovered = dict(base)
+        recovered.update(state)
         diffs = [
             d
-            for d in diff_states(state, expected, initial_value)
+            for d in diff_states(recovered, expected, initial_value)
             if d[0] not in lost
         ]
     return RecoveryOutcome(
@@ -132,16 +139,9 @@ def conclude_recovery(
     )
 
 
-def _capture(pages: PageStream, state: Dict[PageId, PageVersion]) -> Iterator:
-    """Tee a page stream into ``state`` while the restore consumes it."""
-    for pid, version in pages:
-        state[pid] = version
-        yield pid, version
-
-
 def run_recovery(
     kind: str,
-    base: PageStream,
+    base: Union[StableDatabase, Mapping[PageId, PageVersion], PageStream],
     records: Iterable[LogRecord],
     *,
     stable: Optional[StableDatabase],
@@ -156,43 +156,59 @@ def run_recovery(
 ) -> RecoveryOutcome:
     """Base → replay → classify → verify → install.
 
-    ``base`` streams the starting image once.  With ``restore`` (the
-    media flavours) that one pass feeds both ``restore(pages,
-    initial_value)`` — ``StableDatabase.restore_from`` or a like of it,
-    laying the stream onto the failed store — and the replay state, so
-    the image is never materialized a second time; without it the base
-    already *is* what the store holds (crash).  ``seeds`` are pages
-    whose content is lost: kept out of the base, replayed as POISON.
-    Pages absent from the base read as the formatted cell does.
+    The base image is *looked up*, never copied: replay reads a page it
+    has not written from whatever already holds the image.  Without
+    ``restore`` that is ``base`` itself — the surviving store (crash) or
+    a ``{page: version}`` mapping.  With ``restore`` (the media
+    flavours) ``base`` is a page stream that ``restore(pages,
+    initial_value)`` — ``StableDatabase.restore_from`` or a like of it —
+    lays onto the failed ``stable``, which then holds the base: from
+    there on every flavour is crash recovery over S.  ``seeds`` are
+    pages whose content is lost: kept out of the restore, replayed as
+    POISON.  Pages the base does not hold read as the formatted cell.
 
-    ``records`` is the log slice to redo, ``expected`` the state to
-    verify against.  ``stable`` is the install target; ``None`` computes
-    the recovered state without touching any store.  ``phase_fields``
-    adds flavour-specific fields to the ``restore`` / ``redo``
-    ``RECOVERY_PHASE`` events.
+    The replay state — ``RecoveryOutcome.state`` — is therefore the
+    seeds plus the pages replay wrote, and classify and install walk
+    only that: recovery costs what replay wrote, not the database.
+    Only verification (``expected``, the state to diff against, itself
+    O(database)) walks the base's pages too.
+
+    ``records`` is the log slice to redo.  ``stable`` is the install
+    target; ``None`` computes the recovered state without touching any
+    store.  ``phase_fields`` adds flavour-specific fields to the
+    ``restore`` / ``redo`` ``RECOVERY_PHASE`` events.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     span = "recovery." + kind.replace("-", "_")
     phase_fields = phase_fields or {}
-    if seeds:
-        lost = set(seeds)
-        base = (entry for entry in base if entry[0] not in lost)
-    if restore is None:
-        state = dict(base)
-    else:
-        state = {}
+    verifying = expected is not None
+    held: PageStream = ()  # the base's pages, for the diff
+    if restore is not None:
+        if seeds:
+            lost = set(seeds)
+            base = (entry for entry in base if entry[0] not in lost)
+        if verifying:
+            base = held = list(base)
         with tracer.span(span + ".restore"):
-            restore(_capture(base, state), initial_value)
+            restore(base, initial_value)
         if tracer.enabled:
             tracer.emit(RECOVERY_PHASE, kind=kind, phase="restore",
                         **phase_fields.get("restore", {}))
-    state.update(poison_seeds(seeds))
+        base = stable
+    elif verifying:
+        held = (
+            base.iter_pages() if isinstance(base, StableDatabase)
+            else base.items()
+        )
+    lookup = base.cell if isinstance(base, StableDatabase) else base.get
+    state = poison_seeds(seeds)
 
     replayer = make_replayer(
         initial_value=initial_value,
         tracer=tracer,
         redo_workers=redo_workers,
         metrics=metrics,
+        base=lookup,
     )
     with tracer.span(span + ".redo"):
         stats = replayer.replay(records, state)
@@ -201,19 +217,23 @@ def run_recovery(
                     replayed=stats.ops_replayed, skipped=stats.ops_skipped,
                     **phase_fields.get("redo", {}))
 
-    outcome = conclude_recovery(
-        kind, state, stats, bool(seeds), expected, initial_value, tracer
-    )
-    if expected is not None and tracer.enabled:
+    with tracer.span(span + ".classify"):
+        outcome = conclude_recovery(
+            kind, state, stats, bool(seeds), expected, initial_value,
+            tracer, held,
+        )
+    if verifying and tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind=kind, phase="verify",
                     diffs=len(outcome.diffs),
                     poisoned=len(outcome.poisoned),
                     quarantined=len(outcome.quarantined))
     if stable is not None:
-        for pid, version in state.items():
-            install_recovered_page(
-                stable, pid, version, initial_value, tracer, metrics, kind
-            )
+        with tracer.span(span + ".install"):
+            for pid, version in state.items():
+                install_recovered_page(
+                    stable, pid, version, initial_value, tracer, metrics,
+                    kind,
+                )
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind=kind, phase="complete",
                     ok=outcome.ok, quarantined=len(outcome.quarantined))

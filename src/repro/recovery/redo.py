@@ -111,18 +111,33 @@ def apply_record(
     return effect, poisoned
 
 
+#: How replay reads a page it has not written: the page's version in the
+#: base image, ``None`` where the base holds nothing.
+BaseLookup = Callable[[PageId], Optional[PageVersion]]
+
+
 def state_reader(
-    state: Mapping[PageId, PageVersion], initial_value: Any
+    state: Mapping[PageId, PageVersion],
+    initial_value: Any,
+    base: Optional[BaseLookup] = None,
 ) -> Callable[[PageId], PageVersion]:
     """``version_of`` over a replay state the scheduler updates in place.
 
-    A page absent from ``state`` reads as the freshly formatted cell
-    (initial value, ``NULL_LSN``); a lookup never adds it, so the state
-    only ever holds the base image plus what replay wrote.
+    A page reads through the chain *written → base → formatted cell*:
+    what ``state`` holds, else what the ``base`` lookup returns, else the
+    freshly formatted cell (initial value, ``NULL_LSN``).  A lookup never
+    adds to ``state``, so the state only ever holds what it started with
+    plus what replay wrote, and the base is never copied.
     """
     get = state.get
     formatted = PageVersion(initial_value, NULL_LSN)
-    return lambda page: get(page, formatted)
+    if base is None:
+        return lambda page: get(page, formatted)
+
+    def version_of(page: PageId) -> PageVersion:
+        return get(page) or base(page) or formatted
+
+    return version_of
 
 
 def emit_redo_op(
@@ -167,10 +182,17 @@ class ReplayStats:
 
 class RedoReplayer:
     """Replays records over a ``{PageId: PageVersion}`` state in place,
-    one kernel call per record in LSN order."""
+    one kernel call per record in LSN order.  Pages the state does not
+    hold read through ``base`` (see :func:`state_reader`)."""
 
-    def __init__(self, initial_value: Any = None, tracer=None):
+    def __init__(
+        self,
+        initial_value: Any = None,
+        tracer=None,
+        base: Optional[BaseLookup] = None,
+    ):
         self._initial_value = initial_value
+        self._base = base
         self.tracer = NULL_TRACER if tracer is None else tracer
 
     def replay(
@@ -183,7 +205,7 @@ class RedoReplayer:
         # check per record, when tracing is off (the default).
         tracer = self.tracer
         trace = tracer.enabled
-        version_of = state_reader(state, self._initial_value)
+        version_of = state_reader(state, self._initial_value, self._base)
         source = iter(records)
         while True:
             block = list(islice(source, REPLAY_CHUNK))

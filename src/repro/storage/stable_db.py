@@ -57,14 +57,11 @@ class StableDatabase:
 
     def __init__(self, layout: Layout, initial_value: Any = None):
         self.layout = layout
-        self._pages: Dict[PageId, Page] = {
-            pid: Page.empty(pid, initial_value) for pid in layout.all_pages()
-        }
+        self._pages: Dict[PageId, Page] = {}
         # Integrity stamps, one per page cell: the version object that
         # was legitimately installed there (see class docstring).
-        self._stamps: Dict[PageId, PageVersion] = {
-            pid: page.version for pid, page in self._pages.items()
-        }
+        self._stamps: Dict[PageId, PageVersion] = {}
+        self._format(layout.all_pages(), initial_value)
         self._failed = False
         self._failed_partitions: set = set()
         self.page_writes = 0
@@ -131,6 +128,18 @@ class StableDatabase:
         """Discard the shadow journal after a completed install."""
 
     # ------------------------------------------------------------- integrity
+
+    def _format(self, page_ids, initial_value: Any) -> None:
+        """Reset cells to the formatted state (initial value, ``NULL_LSN``).
+
+        Every formatted cell and stamp shares one version object:
+        versions are immutable and rot replaces a cell's version
+        wholesale, so the ``version is stamp`` test is unaffected.
+        """
+        formatted = PageVersion(initial_value, NULL_LSN)
+        page_ids = list(page_ids)
+        self._pages.update((pid, Page(pid, formatted)) for pid in page_ids)
+        self._stamps.update(dict.fromkeys(page_ids, formatted))
 
     def _store_version(self, page_id: PageId, version: PageVersion) -> None:
         """Install a version into its cell, refreshing the stamp."""
@@ -274,6 +283,16 @@ class StableDatabase:
         for pid in self.layout.all_pages():
             yield pid, self._pages[pid].snapshot()
 
+    def cell(self, page_id: PageId) -> Optional[PageVersion]:
+        """One cell exactly as :meth:`iter_pages` yields it, ``None``
+        outside the layout: recovery's base lookup (no fault plane, no
+        device cost, no envelope check — recovery screens for damage
+        with :meth:`damaged_pages` first)."""
+        if self._failed:
+            raise MediaFailureError("stable database media has failed")
+        page = self._pages.get(page_id)
+        return None if page is None else page.version
+
     def snapshot(self) -> Dict[PageId, PageVersion]:
         """A consistent point-in-time copy of the whole store (test aid)."""
         self._check_media()
@@ -398,10 +417,7 @@ class StableDatabase:
         """Re-format one partition from backup content; other partitions
         are untouched."""
         self._failed_partitions.discard(partition)
-        for pid in self.layout.pages_in_partition(partition):
-            page = Page.empty(pid, initial_value)
-            self._pages[pid] = page
-            self._stamps[pid] = page.version
+        self._format(self.layout.pages_in_partition(partition), initial_value)
         for pid, ver in versions.items():
             if pid.partition != partition:
                 raise PageNotFoundError(pid)
@@ -422,11 +438,7 @@ class StableDatabase:
         self._failed = False
         self._failed_partitions.clear()
         self._shadow = []
-        self._pages = {
-            pid: Page.empty(pid, initial_value)
-            for pid in self.layout.all_pages()
-        }
-        self._stamps = {pid: page.version for pid, page in self._pages.items()}
+        self._format(self.layout.all_pages(), initial_value)
         items = versions.items() if hasattr(versions, "items") else versions
         for pid, ver in items:
             self._page(pid)  # validates the id

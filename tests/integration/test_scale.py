@@ -13,6 +13,7 @@ from repro.btree import BTree
 from repro.db import Database
 from repro.kvstore import KVStore
 from repro.workloads import mixed_logical_workload, tree_split_workload
+from tests.conftest import TAIL_PAGES, fixed_tail_db
 
 
 class TestScale:
@@ -101,3 +102,21 @@ class TestScale:
             db.backup_step(64)
         db.media_failure()
         assert db.media_recover().ok
+
+    def test_recovery_work_does_not_grow_with_the_database(
+        self, stable_calls
+    ):
+        """Same tail, 16x the pages: the same installs (counts, not
+        wall time) — recovery costs what replay wrote."""
+        installs = {}
+        for pages in (1024, 16384):
+            db, written = fixed_tail_db(pages)
+            db.crash()
+            outcome = db.recover(verify=False)
+            assert outcome.ok and set(outcome.state) == written
+            db.media_failure()
+            outcome = db.media_recover(verify=False)
+            assert outcome.ok and set(outcome.state) == written
+            installs[pages] = stable_calls.count("install_version")
+            del stable_calls[:]
+        assert installs[1024] == installs[16384] == 2 * TAIL_PAGES

@@ -16,6 +16,8 @@ from repro.obs import Tracer, events as ev
 from repro.ops.physical import PhysicalWrite
 from repro.ops.physiological import PhysiologicalWrite
 from repro.recovery.redo import POISON
+from repro.storage.stable_db import StableDatabase
+from tests.conftest import TAIL_RECORDS, fixed_tail_db
 
 
 class FragileWrite(PhysiologicalWrite):
@@ -104,3 +106,44 @@ class TestPoisonedPagesAreFormatted:
         assert outcome.poisoned == [victim]
         assert outcome.state[victim].value is POISON
         assert db.stable.read_page(victim).value == db.initial_value
+
+
+def _no_scan(self):
+    raise AssertionError("recovery walked the whole store")
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+class TestRecoveryCostIsWhatReplayWrote:
+    """The base is looked up, never copied: a 16 384-page store with a
+    2 000-record tail over 200 pages is classified and installed in 200
+    steps, and ``outcome.state`` is those 200 pages."""
+
+    def test_crash_recovery_touches_only_written_pages(
+        self, backend, tmp_path, monkeypatch, stable_calls
+    ):
+        db, written = fixed_tail_db(16384, backend, str(tmp_path))
+        db.crash()
+        monkeypatch.setattr(StableDatabase, "iter_pages", _no_scan)
+        outcome = db.recover(verify=False)
+        assert outcome.ok and outcome.replayed == TAIL_RECORDS
+        assert set(outcome.state) == written
+        assert stable_calls == ["install_version"] * len(outcome.state)
+        monkeypatch.undo()
+        db.crash()
+        assert db.recover().ok  # verified: S already is the oracle state
+        db.close()
+
+    def test_media_recovery_installs_only_written_pages(
+        self, backend, tmp_path, stable_calls
+    ):
+        db, written = fixed_tail_db(16384, backend, str(tmp_path))
+        db.media_failure()
+        outcome = db.media_recover(verify=False)
+        assert outcome.ok and outcome.replayed == TAIL_RECORDS
+        assert set(outcome.state) == written
+        assert stable_calls == (
+            ["restore_from"] + ["install_version"] * len(outcome.state)
+        )
+        db.crash()
+        assert db.recover().ok
+        db.close()
