@@ -559,6 +559,7 @@ def _run_instant_one(
     seed: int, batched: bool, rot: str = "none", traffic: bool = True,
     workers: int = 1, backend: str = "memory",
     data_dir: Optional[str] = None, executor: str = "thread",
+    eager: bool = True,
 ) -> Tuple[bool, Database]:
     """One instant-restore run: mid-restore reads must be exactly right.
 
@@ -571,7 +572,11 @@ def _run_instant_one(
     win over the background sweep.  ``rot`` picks the integrity path:
     ``"fallback"`` rots the newest of two generations (restore must fall
     back to the intact one), ``"quarantine"`` rots the only generation
-    (honest degrade).
+    (honest degrade).  ``eager=False`` runs no background pool and reads
+    only a few pages (traffic writes are flushed in part by one
+    ``install_some``), so the drain restores almost every page in bulk.
+    After the drain and a checkpoint, the stable store must hold every
+    page's recovered or written value.
     """
     from repro.ops.physical import PhysicalWrite
 
@@ -611,31 +616,38 @@ def _run_instant_one(
     initial = db.initial_value
     db.media_failure()
     db.begin_instant_restore(
-        workers=max(2, workers), executor=executor
+        workers=max(2, workers), executor=executor, eager=eager
     )
-    pages = [
-        pid
-        for p in range(db.layout.num_partitions)
-        for pid in db.layout.pages_in_partition(p)
-    ]
+    pages = list(db.layout.all_pages())
     order = list(pages)
     random.Random(seed + 1).shuffle(order)
-    # Every page read mid-restore, racing the background sweep.
-    observed = {pid: db.read(pid) for pid in order}
+    # Eager: every page read mid-restore, racing the background sweep.
+    # Lazy: a few single-page restores; the drain does the rest.
+    observed = {pid: db.read(pid) for pid in (order if eager else order[:6])}
     written = {}
     if traffic:
         for i, pid in enumerate(order[::9]):
             written[pid] = ("mid-restore", seed, i)
             db.execute(PhysicalWrite(pid, written[pid]))
+        if not eager:
+            db.install_some(2, rng)
     outcome = db.finish_instant_restore()
     ok = outcome.ok
     quarantined = set(outcome.quarantined)
-    for pid in pages:
-        want = initial if pid in quarantined else expected.get(pid, initial)
-        if observed[pid] != want:
+
+    def recovered(pid):
+        return initial if pid in quarantined else expected.get(pid, initial)
+
+    for pid, value in observed.items():
+        if value != recovered(pid):
             ok = False
-    for pid, value in written.items():
-        if db.read(pid) != value:
+    # Flush everything, then the store itself must hold every page's
+    # recovered or written value: a drain that clobbered a page traffic
+    # had already restored, rewritten and flushed shows up here.
+    db.checkpoint()
+    stored = db.stable.snapshot()
+    for pid in pages:
+        if stored[pid].value != written.get(pid, recovered(pid)):
             ok = False
     db.close()
     return ok, db
@@ -644,10 +656,15 @@ def _run_instant_one(
 def _instant_scenarios(
     seed: int, batched: bool, workers: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    executor: str = "thread",
+    executor: str = "thread", eager: bool = True,
 ) -> ScenarioResult:
-    """Mid-restore correctness: plain, bitrot-fallback, and quarantine."""
-    mode = _mode_name(batched, workers)
+    """Mid-restore correctness: plain, bitrot-fallback, and quarantine.
+
+    ``eager=False`` is ``instant-restore-lazy-drain``: no background
+    pool and mid-restore traffic in every case, so the drain's bulk path
+    restores almost every page under each integrity path.
+    """
+    mode = _mode_name(batched, workers) if eager else "lazy-drain"
     if backend != "memory":
         mode += f"-{backend}"
     if executor != "thread":
@@ -655,13 +672,14 @@ def _instant_scenarios(
     result = ScenarioResult(f"instant-restore-{mode}")
     cases = (
         ("mid-restore-traffic", "none", True),
-        ("bitrot-fallback", "fallback", False),
-        ("bitrot-quarantine", "quarantine", False),
+        ("bitrot-fallback", "fallback", not eager),
+        ("bitrot-quarantine", "quarantine", not eager),
     )
     for label, rot, traffic in cases:
         ok, db = _run_instant_one(seed, batched, rot=rot, traffic=traffic,
                                   workers=workers, backend=backend,
-                                  data_dir=data_dir, executor=executor)
+                                  data_dir=data_dir, executor=executor,
+                                  eager=eager)
         result.total += 1
         if ok:
             result.recovered += 1
@@ -922,6 +940,8 @@ def run_faultsweep(
                                     backend=backend, data_dir=data_dir))
         emit(_instant_scenarios(seed, True, 4, backend=backend,
                                 data_dir=data_dir, executor="process"))
+        emit(_instant_scenarios(seed, True, backend=backend,
+                                data_dir=data_dir, eager=False))
         # Parallel redo smoke: every crash recovery of the sweep (and
         # the healed-logtail rot runs) replays through the 4-worker
         # pool; outcomes must stay byte-identical to serial replay.
@@ -956,6 +976,7 @@ def run_faultsweep(
                                         workers=workers):
             emit(result)
         emit(_instant_scenarios(seed, batched, workers))
+    emit(_instant_scenarios(seed, True, eager=False))
     emit(_torn_span_scenario(seed))
     emit(_torn_span_scenario(seed, workers=4))
     # Multi-stream WAL smoke: the crash sweep and the seeded mix against

@@ -17,25 +17,22 @@ The pieces:
   the backup's partition structure; per-partition D/P-style frontiers
   (``pages_done``) report progress.  A page is restored exactly once, no
   matter which path gets there first.
-* **Demand-driven redo evaluator** — the media-log slice
-  (``log.merge_scan(scan_start, target)``, snapshotted at begin) is
-  indexed by writer page.  Each record's *effect* (which stale pages it
-  rewrote, with what versions) is memoized on first demand; a page's
-  final version walks its writer list backwards through memoized
-  effects.  Logical multi-page operations make effects interdependent
-  (a record's staleness and reads depend on earlier writers of its
-  write- and read-set), so effects are resolved with an explicit
-  iterative work stack — no recursion, dependencies are strictly earlier
-  slice indices, total work over a full drain is the same O(slice) the
-  sequential replayer pays.  Each effect is one call of the shared redo
-  kernel (:func:`~repro.recovery.redo.apply_record`) — the evaluator is
-  its third *scheduler*, demand-driven where
+* **Demand-driven redo evaluator** (on-demand restores only) — the
+  media-log slice (``log.merge_scan(scan_start, target)``, snapshotted
+  at begin) is indexed by writer page.  Each record's *effect* (which
+  stale pages it rewrote, with what versions) is memoized on first
+  demand; a page's final version walks its writer list backwards through
+  memoized effects.  Logical multi-page operations make effects
+  interdependent (a record's staleness and reads depend on earlier
+  writers of its write- and read-set), so effects are resolved with an
+  explicit iterative work stack — no recursion, dependencies are
+  strictly earlier slice indices.  Each effect is one call of the shared
+  redo kernel (:func:`~repro.recovery.redo.apply_record`) — the
+  evaluator is its third *scheduler*, demand-driven where
   :class:`~repro.recovery.redo.RedoReplayer` is LSN-ordered — handed the
   page versions the record would observe at its turn, so by induction
-  over the slice every record is classified (skip vs replay, poisoned,
-  partial) exactly as the offline replay classifies it.  That is what
-  makes :meth:`RestoreManager.drain` byte-identical to the offline
-  outcome.
+  over the slice every page it restores carries exactly the version the
+  offline replay gives it.
 * **Lazy path** — ``CacheManager.restore_hook`` (installed by
   :meth:`repro.db.Database.begin_instant_restore`) calls
   :meth:`RestoreManager.ensure_restored` for every cache-missed read and
@@ -48,6 +45,12 @@ The pieces:
   Span reads pay device cost outside the manager lock; installs are
   page-granular under the lock, so an on-demand access never waits for
   more than one page's install.
+* **Bulk drain** — :meth:`RestoreManager.drain` finishes in bulk what
+  traffic and the pool left: the offline media recovery's one LSN-order
+  replay of the slice over the chosen generation (so the outcome is the
+  offline one by construction), then per unfinished partition the
+  replay-written pages through the install rules and every other
+  unrestored page laid from the backup in one store call.
 
 Generation selection and quarantine reuse the offline gate
 (:func:`~repro.recovery.media_recovery.select_generation`): bitrot in
@@ -72,12 +75,13 @@ from repro.recovery.media_recovery import (
     resolve_media_target,
     select_generation,
 )
+from repro.recovery.parallel_redo import ParallelRedoReplayer, make_replayer
 from repro.recovery.pipeline import (
     conclude_recovery,
     install_recovered_page,
     poison_seeds,
 )
-from repro.recovery.redo import ReplayStats, apply_record
+from repro.recovery.redo import apply_record
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -116,6 +120,20 @@ class RestoredBitmap:
         slots.add(pid.slot)
         return True
 
+    def unrestored(self, partition: int) -> List[PageId]:
+        """The pages of ``partition`` not restored yet, in slot order."""
+        done = self._slots[partition]
+        return [
+            pid for pid in self.layout.pages_in_partition(partition)
+            if pid.slot not in done
+        ]
+
+    def mark_partition(self, partition: int) -> None:
+        """Mark every page of ``partition`` restored."""
+        self._slots[partition] = set(
+            range(self.layout.partition_size(partition))
+        )
+
     def pages_done(self, partition: int) -> int:
         return len(self._slots[partition])
 
@@ -137,11 +155,12 @@ class RestoredBitmap:
 class _SliceEvaluator:
     """Demand-driven, memoized redo over one media-log slice.
 
-    The third scheduler of the redo kernel: ``_effects[i]`` memoizes
-    what :func:`~repro.recovery.redo.apply_record` returns for record
-    ``i`` given the versions it would observe in LSN order — ``None``
-    when the record is skipped (no stale write-set page at its turn),
-    else the ``{page: version}`` mapping it installs.
+    The third scheduler of the redo kernel, serving single-page restores
+    (traffic and the eager pool): ``_effects[i]`` memoizes what
+    :func:`~repro.recovery.redo.apply_record` returns for record ``i``
+    given the versions it would observe in LSN order — ``None`` when the
+    record is skipped (no stale write-set page at its turn), else the
+    ``{page: version}`` mapping it installs.
     """
 
     def __init__(
@@ -151,7 +170,7 @@ class _SliceEvaluator:
         initial_value: Any,
         fetch,
     ):
-        self._records = list(records)
+        self._records = records
         self._base = base
         # Lazily pulls a page's backup copy into ``base`` the first time
         # the slice consults it (the single-page-read cost model); pages
@@ -167,8 +186,6 @@ class _SliceEvaluator:
             for page in record.op.writeset:
                 self._writers.setdefault(page, []).append(i)
         self._effects: Dict[int, Optional[Dict[PageId, PageVersion]]] = {}
-        # Sequential-replay counters, valid once every effect is computed.
-        self.stats = ReplayStats(records_seen=len(self._records))
 
     # ------------------------------------------------------------ versions
 
@@ -271,7 +288,6 @@ class _SliceEvaluator:
         outcome = apply_record(
             record, lambda page: self._version_before(page, index)
         )
-        self.stats.tally(record, outcome)
         return None if outcome is None else outcome[0]
 
     def _ensure_writers_resolved(self, page: PageId) -> None:
@@ -287,24 +303,6 @@ class _SliceEvaluator:
             if effect is not None and page in effect:
                 return
             pos -= 1
-
-    def evaluate_all(self) -> None:
-        """Memoize every record's effect, in slice order.
-
-        After this ``stats`` equals the sequential replayer's for the
-        same slice and base.
-        """
-        for i in range(len(self._records)):
-            self._ensure_effect(i)
-
-    def final_state(self) -> Dict[PageId, PageVersion]:
-        """What the sequential replayer would add to its ``state``: every
-        effect, in slice order — the pages the slice wrote, never the
-        base.  Requires :meth:`evaluate_all` first."""
-        state: Dict[PageId, PageVersion] = {}
-        for i in range(len(self._records)):
-            state.update(self._effects[i] or ())
-        return state
 
 
 class RestoreManager:
@@ -345,9 +343,9 @@ class RestoreManager:
         self.initial_value = initial_value
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
-        # redo_workers > 1: the background sweep additionally *primes*
-        # the evaluator's memo table with the dependency-aware parallel
-        # replayer (see _prime_effects), composed with the same pool.
+        # redo_workers > 1: the drain replays on the dependency-aware
+        # parallel replayer, and the background sweep additionally
+        # *primes* the evaluator's memo table with it (_prime_effects).
         self.redo_workers = redo_workers
         self._primed = False
         # Context-manager factory wrapped around restore-driven stable
@@ -360,6 +358,7 @@ class RestoreManager:
         self.target: Optional[LSN] = None
         self.quarantine_seed: List[PageId] = []
         self._seeds: Set[PageId] = set()
+        self._records: List = []
         self._evaluator: Optional[_SliceEvaluator] = None
         self._pool = None
         self._span_pool = None
@@ -388,7 +387,7 @@ class RestoreManager:
         self._seeds = set(self.quarantine_seed)
         # Snapshot the media-log slice now: traffic served mid-restore
         # appends records beyond the target, which must not replay.
-        records = list(
+        self._records = records = list(
             self.log.merge_scan(self.chosen.media_scan_start_lsn, self.target)
         )
         # Quarantine seeds sit in the base as POISON from the start, so
@@ -569,39 +568,25 @@ class RestoreManager:
 
     # ------------------------------------------------------------- parallel
 
-    def _load_image(self, base: Dict[PageId, PageVersion]) -> None:
-        """Add every backup page ``base`` does not hold yet.
-
-        Quarantine seeds are in every base from the start (as POISON),
-        so the damaged cells of the image never replace them.
-        """
-        for pid, version in self.chosen.iter_pages():
-            base.setdefault(pid, version)
-
     def _prime_effects(self) -> None:
         """Batch-compute every record effect on the parallel replayer.
 
-        With ``redo_workers > 1`` the whole media-log slice is replayed
-        once by :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer`
-        against a private snapshot of the full backup base, off the
-        manager lock; the per-record effects (what the evaluator would
-        memoize record by record — both schedulers run the same kernel)
-        are then installed into the evaluator under the lock, alongside
-        the wholesale slice stats.  Effects a demand path already
-        memoized are kept; they are equal by determinism.  Idempotent
-        and safe to race with on-demand restores.
+        The eager pool's companion when ``redo_workers > 1``: the whole
+        media-log slice is replayed once by
+        :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer` over
+        the chosen generation, off the manager lock; the per-record
+        effects (what the evaluator would memoize record by record —
+        both schedulers run the same kernel) are then installed into the
+        evaluator under the lock, so the sweep's per-page restores become
+        memo lookups.  Effects a demand path already memoized are kept;
+        they are equal by determinism.  Idempotent and safe to race with
+        on-demand restores.
         """
-        if self.redo_workers <= 1:
-            return
         with self._lock:
-            if self._primed or self._evaluator is None:
+            if self._primed:
                 return
             self._primed = True
             evaluator = self._evaluator
-        from repro.recovery.parallel_redo import ParallelRedoReplayer
-
-        base = poison_seeds(self.quarantine_seed)
-        self._load_image(base)
         # Per-worker Metrics shards are absorbed into this carrier on
         # the prime thread (which owns it), then merged into the shared
         # instance under the manager lock.
@@ -613,14 +598,14 @@ class RestoreManager:
             initial_value=self.initial_value,
             workers=self.redo_workers,
             metrics=carrier,
+            base=self.chosen.read_page,
         )
-        stats, computed = replayer.replay_with_effects(
-            evaluator._records, base
+        _, computed = replayer.replay_with_effects(
+            self._records, poison_seeds(self.quarantine_seed)
         )
         with self._lock:
             for index, effect in enumerate(computed):
                 evaluator._effects.setdefault(index, effect)
-            evaluator.stats = stats
             if carrier is not None:
                 self.metrics.absorb(carrier)
 
@@ -629,12 +614,13 @@ class RestoreManager:
     def drain(self) -> RecoveryOutcome:
         """Finish the restore and return the offline-equivalent outcome.
 
-        Joins the background pool, restores every page still pending,
-        evaluates any record whose effect was never demanded (so the
-        replay counters match the sequential pass), and hands the final
-        state to the shared pipeline's verdict — the same
-        :class:`RecoveryOutcome` the offline path returns, including
-        quarantine bookkeeping and oracle diffs.
+        Joins the background pool, then does what offline media recovery
+        does, restricted to the pages not restored yet: one LSN-order
+        replay of the slice snapshotted at :meth:`begin` over the chosen
+        generation — so ``state``, ``replayed`` and ``skipped`` are the
+        offline ones by construction — the shared pipeline's verdict
+        (quarantine bookkeeping and oracle diffs included), and
+        :meth:`_install_unrestored`.
         """
         if self._drained is not None:
             return self._drained
@@ -648,41 +634,31 @@ class RestoreManager:
         if self._span_pool is not None:
             self._span_pool.shutdown(wait=True)
             self._span_pool = None
-        # No eager sweep ran (or it never primed): parallelize the bulk
-        # of the remaining evaluation here instead of walking it
-        # serially through evaluate_all below.
-        self._prime_effects()
-        layout = self.stable.layout
+        tracer = self.tracer
         with self._lock:
-            for partition in range(layout.num_partitions):
-                if self.bitmap.partition_complete(partition):
-                    continue
-                for pid in layout.pages_in_partition(partition):
-                    if not self.bitmap.is_restored(pid):
-                        self._restore_page_locked(pid, source="background")
-            evaluator = self._evaluator
-            evaluator.evaluate_all()
-            # The offline replay state: the seeds plus what replay wrote.
+            # The seeds plus what replay wrote, as offline.  No tracer:
+            # the instant path emits no REDO_OP events.
             state = poison_seeds(self.quarantine_seed)
-            state.update(evaluator.final_state())
-            # Out-of-layout replay targets exist only in ``state`` (the
-            # per-page paths never see them): run them through the
-            # install rules so they are traced and counted as dropped,
-            # exactly as the offline install does.
-            for pid, version in state.items():
-                if not layout.contains(pid):
-                    install_recovered_page(
-                        self.stable, pid, version, self.initial_value,
-                        self.tracer, self.metrics, kind="instant",
-                    )
-            if self.oracle is not None:
-                # The diff covers the whole restore image, as offline.
-                self._load_image(self._base)
-            outcome = conclude_recovery(
-                "instant", state, evaluator.stats,
-                bool(self.quarantine_seed), self.oracle,
-                self.initial_value, self.tracer, self._base.items(),
+            replayer = make_replayer(
+                initial_value=self.initial_value,
+                redo_workers=self.redo_workers,
+                metrics=self.metrics,
+                base=self.chosen.read_page,
             )
+            with tracer.span("recovery.instant.redo"):
+                stats = replayer.replay(self._records, state)
+            with tracer.span("recovery.instant.classify"):
+                outcome = conclude_recovery(
+                    "instant", state, stats, bool(self.quarantine_seed),
+                    self.oracle, self.initial_value, tracer,
+                    # The diff covers the whole restore image, as offline.
+                    self.chosen.iter_pages() if self.oracle is not None
+                    else (),
+                )
+            with tracer.span("recovery.instant.install"), self._io_guard():
+                self._install_unrestored(
+                    state, set(outcome.poisoned).union(outcome.quarantined)
+                )
             # Reported as the media recovery it is byte-identical to.
             outcome.kind = "media"
             self._drained = outcome
@@ -694,6 +670,60 @@ class RestoreManager:
                 quarantined=len(outcome.quarantined),
             )
         return outcome
+
+    def _install_unrestored(
+        self, state: Dict[PageId, PageVersion], tainted: Set[PageId]
+    ) -> None:
+        """Install the drain's replay onto every page not restored yet.
+
+        Per unfinished partition: the pages replay wrote go through the
+        install rules (``tainted`` is classify's POISON verdict), and
+        every other unrestored page is laid from the chosen generation —
+        the formatted cell where it holds nothing — in one
+        :meth:`~repro.storage.stable_db.StableDatabase.lay_pages` call.
+        Seeds are in ``state``, so their damaged cells are never laid.
+        A page the bitmap marks restored is never touched: traffic may
+        have rewritten and flushed it since.  Lock held.
+        """
+        layout = self.stable.layout
+        read = self.chosen.read_page
+        formatted = PageVersion(self.initial_value, NULL_LSN)
+        tracer = self.tracer
+        restored = 0
+        for partition in range(layout.num_partitions):
+            pending = self.bitmap.unrestored(partition)
+            if not pending:
+                continue
+            lay = {}
+            for pid in pending:
+                version = state.get(pid)
+                if version is None:
+                    lay[pid] = read(pid) or formatted
+                else:
+                    install_recovered_page(
+                        self.stable, pid, version, self.initial_value,
+                        tracer, self.metrics, kind="instant",
+                        poisoned=pid in tainted,
+                    )
+            self.stable.lay_pages(lay)
+            self.bitmap.mark_partition(partition)
+            restored += len(pending)
+            if tracer.enabled:
+                for pid in pending:
+                    tracer.emit(
+                        RESTORE_PROGRESS, phase="page", page=str(pid),
+                        source="background",
+                    )
+        # Out-of-layout replay targets: the install rules trace and count
+        # them as dropped, exactly as the offline install does.
+        for pid, version in state.items():
+            if not layout.contains(pid):
+                install_recovered_page(
+                    self.stable, pid, version, self.initial_value, tracer,
+                    self.metrics, kind="instant",
+                )
+        if self.metrics is not None:
+            self.metrics.pages_restored_background += restored
 
     @property
     def complete(self) -> bool:

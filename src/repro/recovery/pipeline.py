@@ -8,8 +8,9 @@ different base image and log slice: *base → replay → classify → verify
 → install* (:func:`run_recovery`; diagram in ``docs/API.md``).  The entry
 points (``run_crash_recovery``, ``run_media_recovery``, …) validate
 their inputs, pick the base and the slice, and call it.  Instant restore
-replays and installs on demand instead, page by page, so its drain joins
-at the *classify* step (:func:`conclude_recovery`).
+replays and installs single pages on demand; its drain is this sequence
+again, minus the restore (S was formatted at begin) and with an install
+that skips the pages traffic already restored.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def install_recovered_page(
     tracer=None,
     metrics=None,
     kind: str = "media",
+    poisoned: Optional[bool] = None,
 ) -> bool:
     """Install one replayed page into stable, with drop/quarantine rules.
 
@@ -60,7 +62,9 @@ def install_recovered_page(
     installed — but they are never dropped silently: a ``RESTORE_DROP``
     event and ``Metrics.pages_dropped_out_of_layout`` record each one.
     Pages whose value still carries POISON are formatted to the initial
-    value rather than installing garbage.  Returns ``True`` iff the
+    value rather than installing garbage.  ``poisoned`` is that verdict
+    when the caller already classified the page (:func:`conclude_recovery`
+    did); ``None`` checks the value here.  Returns ``True`` iff the
     page's replayed value was installed as-is.
     """
     if not stable.layout.contains(pid):
@@ -72,7 +76,9 @@ def install_recovered_page(
                 kind=kind,
             )
         return False
-    if contains_poison(version.value):
+    if poisoned is None:
+        poisoned = contains_poison(version.value)
+    if poisoned:
         # Quarantined: format the cell rather than install garbage.
         stable.install_version(pid, PageVersion(initial_value, NULL_LSN))
         return False
@@ -229,10 +235,12 @@ def run_recovery(
                     quarantined=len(outcome.quarantined))
     if stable is not None:
         with tracer.span(span + ".install"):
+            # Classify already walked every value for POISON: reuse it.
+            tainted = set(outcome.poisoned).union(outcome.quarantined)
             for pid, version in state.items():
                 install_recovered_page(
                     stable, pid, version, initial_value, tracer, metrics,
-                    kind,
+                    kind, poisoned=pid in tainted,
                 )
     if tracer.enabled:
         tracer.emit(RECOVERY_PHASE, kind=kind, phase="complete",

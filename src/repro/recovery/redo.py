@@ -14,10 +14,11 @@ decide which record runs when and where its effect lands:
   conflict DAG of the slice on a worker pool;
 * the instant-restore slice evaluator
   (:mod:`repro.recovery.instant_restore`) — on demand, memoized, only
-  the records a requested page depends on.
+  the records a requested page depends on (single-page restores).
 
-The contract of all three is a serial-equivalent outcome: state, stats
-and poison sets as if every record ran through the kernel in LSN order.
+The contract of all three is a serial-equivalent outcome: every page
+version — and, for the two replayers, the stats and poison sets — as if
+every record ran through the kernel in LSN order.
 
 Replay is deliberately tolerant of garbage inputs: a page that was removed
 from a flush set because it became *unexposed* can hold a stale value that

@@ -80,6 +80,8 @@ class PageStore(Protocol):
 
     def install_version(self, page_id: PageId, version: PageVersion) -> None: ...
 
+    def lay_pages(self, versions: Dict[PageId, PageVersion]) -> None: ...
+
     # -- torn-write repair (doublewrite shadow journal) -----------------
     def repair_torn(self, metrics: Any = None) -> List[PageId]: ...
 

@@ -218,6 +218,22 @@ class FileStableDatabase(StableDatabase):
         self._locs[page_id] = (offset + _LEN.size, len(blob) - _LEN.size)
         self.bytes_written += len(blob)
 
+    def _device_lay(self, versions) -> None:
+        # One record per cell, as _store_version writes them, but one
+        # write() per partition for the whole lay.
+        pending: Dict[int, List[bytes]] = {}
+        for page_id, version in versions.items():
+            blob = _pack_record(_encode_body(page_id.slot, version))
+            partition = page_id.partition
+            offset = self._sizes[partition]
+            self._sizes[partition] = offset + len(blob)
+            self._locs[page_id] = (offset + _LEN.size, len(blob) - _LEN.size)
+            pending.setdefault(partition, []).append(blob)
+        for partition, blobs in pending.items():
+            data = b"".join(blobs)
+            self._files[partition].write(data)
+            self.bytes_written += len(data)
+
     def _device_read(self, page_id: PageId) -> None:
         loc = self._locs.get(page_id)
         if loc is None:  # never written: no device record to fetch

@@ -14,7 +14,8 @@ real pages.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from itertools import chain
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import PartitionError
 from repro.ids import PageId
@@ -41,6 +42,12 @@ class Layout:
                     f"partition {i} must have a positive page count, got {n}"
                 )
         self._sizes = list(pages_per_partition)
+        # The layout is immutable, so every page id is built once here and
+        # shared by every walk of the layout (formatting, restore, sweeps).
+        self._pages: Tuple[Tuple[PageId, ...], ...] = tuple(
+            tuple(PageId(partition, slot) for slot in range(size))
+            for partition, size in enumerate(self._sizes)
+        )
 
     @property
     def num_partitions(self) -> int:
@@ -70,15 +77,13 @@ class Layout:
             and 0 <= page_id.slot < self._sizes[page_id.partition]
         )
 
-    def pages_in_partition(self, partition: int) -> Iterator[PageId]:
+    def pages_in_partition(self, partition: int) -> Tuple[PageId, ...]:
         """All pages of ``partition`` in backup order."""
         self._check_partition(partition)
-        for slot in range(self._sizes[partition]):
-            yield PageId(partition, slot)
+        return self._pages[partition]
 
     def all_pages(self) -> Iterator[PageId]:
-        for partition in range(len(self._sizes)):
-            yield from self.pages_in_partition(partition)
+        return chain.from_iterable(self._pages)
 
     def total_pages(self) -> int:
         return sum(self._sizes)

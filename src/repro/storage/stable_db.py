@@ -127,6 +127,9 @@ class StableDatabase:
     def _device_clear_journal(self) -> None:
         """Discard the shadow journal after a completed install."""
 
+    def _device_lay(self, versions: Mapping[PageId, PageVersion]) -> None:
+        """Persist the cells :meth:`lay_pages` just installed."""
+
     # ------------------------------------------------------------- integrity
 
     def _format(self, page_ids, initial_value: Any) -> None:
@@ -364,6 +367,29 @@ class StableDatabase:
     def install_version(self, page_id: PageId, version: PageVersion) -> None:
         """Atomically overwrite one page with a prepared version."""
         self.write_pages_atomically({page_id: version})
+
+    def lay_pages(self, versions: Mapping[PageId, PageVersion]) -> None:
+        """Lay restored content onto many cells in one call.
+
+        The bulk half of an instant-restore drain: each cell is installed
+        and counted exactly as :meth:`install_version` would (stamp
+        refreshed, one ``page_writes`` per cell, one device record per
+        cell on device-backed stores), but with no shadow journal — the
+        cells are independent restored pages, not one multi-page action —
+        and no fault-plane check: like :meth:`restore_from` this is
+        recovery I/O, which callers run with faults suspended.
+        """
+        self._check_media()
+        pages = self._pages
+        try:
+            for pid, version in versions.items():
+                pages[pid].version = version
+        except KeyError as exc:
+            raise PageNotFoundError(exc.args[0]) from None
+        self._stamps.update(versions)
+        self.page_writes += len(versions)
+        if self._has_device:
+            self._device_lay(versions)
 
     # ------------------------------------------------------ torn-write repair
 

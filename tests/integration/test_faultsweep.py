@@ -26,6 +26,7 @@ class TestFaultsweep:
             "crash-sweep-serial", "crash-sweep-batched",
             "seeded-mix-serial", "seeded-mix-batched",
             "torn-backup-span",
+            "instant-restore-lazy-drain",
         } <= names
 
     def test_faults_actually_fired(self):
@@ -55,6 +56,7 @@ class TestFaultsweep:
             "bitrot-stable-batched-file",
             "transient-parallel-file", "crash-sweep-parallel-file",
             "torn-backup-span-file",
+            "instant-restore-lazy-drain-file",
         } <= names
 
     def test_cli_exit_code_and_output(self, capsys):

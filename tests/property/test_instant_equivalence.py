@@ -2,16 +2,19 @@
 
 Twin databases driven by the same seed produce the same log and the same
 sealed backup; one recovers offline (``media_recover``), the other
-through the lazy/eager instant-restore path with a shuffled mid-restore
-read schedule racing the background pool.  The final stable snapshots,
-the recovery-outcome state, the replay counters, and the quarantine sets
-must all match — across workloads, fault (bitrot) schedules, and storage
-backends.
+through the instant-restore path: with the eager pool, a shuffled
+mid-restore read schedule races the background sweep; without it, a
+handful of reads restore single pages and the drain does the rest in
+bulk.  The final stable snapshots, the recovery-outcome state, the
+replay counters, and the quarantine sets must all match — across
+workloads, fault (bitrot) schedules, storage backends, and serial or
+parallel redo.
 """
 
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.config import BackupConfig
@@ -27,14 +30,15 @@ def _rot(backup, page_id):
     )
 
 
-def _build(seed, rot_sites, backend="memory", data_dir=None):
+def _build(seed, rot_sites, backend="memory", data_dir=None, redo_workers=1):
     """Deterministic workload + interleaved backup; optional backup rot.
 
     ``rot_sites`` is a tuple of copy-order indices to rot in the sealed
     image (empty = clean run).
     """
     db = Database(pages_per_partition=[12, 12, 12, 12], policy="general",
-                  backend=backend, data_dir=data_dir)
+                  backend=backend, data_dir=data_dir,
+                  redo_workers=redo_workers)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=90)
     db.start_backup(BackupConfig(steps=4, batched=True))
@@ -62,7 +66,8 @@ def _key(state):
 
 
 def _assert_equivalent(seed, rot_sites, backend="memory",
-                       tmp_path=None, executor="thread"):
+                       tmp_path=None, executor="thread", eager=True,
+                       redo_workers=1):
     d1 = str(tmp_path / "offline") if tmp_path else None
     d2 = str(tmp_path / "instant") if tmp_path else None
     if d1:
@@ -71,24 +76,22 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
         os.makedirs(d1, exist_ok=True)
         os.makedirs(d2, exist_ok=True)
 
-    offline = _build(seed, rot_sites, backend, d1)
+    offline = _build(seed, rot_sites, backend, d1, redo_workers)
     offline.media_failure()
     expected_outcome = offline.media_recover()
     expected_snapshot = offline.stable.snapshot()
 
-    instant = _build(seed, rot_sites, backend, d2)
+    instant = _build(seed, rot_sites, backend, d2, redo_workers)
     oracle = instant.oracle.state()
     initial = instant.initial_value
     instant.media_failure()
-    instant.begin_instant_restore(workers=3, executor=executor)
-    pages = [
-        pid
-        for p in range(instant.layout.num_partitions)
-        for pid in instant.layout.pages_in_partition(p)
-    ]
-    order = list(pages)
+    instant.begin_instant_restore(workers=3, executor=executor, eager=eager)
+    order = list(instant.layout.all_pages())
     random.Random(seed + 99).shuffle(order)
-    observed = {pid: instant.read(pid) for pid in order[::2]}
+    # Eager: half the pages race the pool.  Lazy: a handful restore on
+    # demand and the drain restores everything else in bulk.
+    reads = order[::2] if eager else order[:4]
+    observed = {pid: instant.read(pid) for pid in reads}
     outcome = instant.finish_instant_restore()
 
     assert instant.stable.snapshot() == expected_snapshot
@@ -125,6 +128,31 @@ class TestInstantEquivalence:
         _assert_equivalent(seed, rot_sites)
 
 
+#: (eager, redo_workers) beyond the eager, serial-redo default above.
+DRAIN_MODES = [(True, 4), (False, 1), (False, 4)]
+
+
+@pytest.mark.parametrize("eager,redo_workers", DRAIN_MODES)
+class TestDrainModesEquivalence:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_clean_runs_equivalent(self, eager, redo_workers, seed):
+        _assert_equivalent(seed, (), eager=eager, redo_workers=redo_workers)
+
+    @given(
+        st.integers(0, 10_000),
+        st.tuples(st.integers(0, 47)) | st.tuples(
+            st.integers(0, 47), st.integers(0, 47)
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rotted_backup_runs_equivalent(
+        self, eager, redo_workers, seed, rot_sites
+    ):
+        _assert_equivalent(seed, rot_sites, eager=eager,
+                           redo_workers=redo_workers)
+
+
 class TestInstantEquivalenceFileBackend:
     @given(st.integers(0, 10_000))
     @settings(max_examples=5, deadline=None)
@@ -135,6 +163,23 @@ class TestInstantEquivalenceFileBackend:
         with tempfile.TemporaryDirectory() as tmp:
             _assert_equivalent(seed, (), backend="file",
                                tmp_path=Path(tmp))
+
+    @pytest.mark.parametrize("redo_workers", [1, 4])
+    @given(
+        st.integers(0, 10_000),
+        st.just(()) | st.tuples(st.integers(0, 47)),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_file_backend_lazy_drain_equivalent(
+        self, redo_workers, seed, rot_sites
+    ):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_equivalent(seed, rot_sites, backend="file",
+                               tmp_path=Path(tmp), eager=False,
+                               redo_workers=redo_workers)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=3, deadline=None)

@@ -198,6 +198,96 @@ class TestInstantRestoreLifecycle:
         )
 
 
+# --------------------------------------------------------------- bulk drain
+
+
+class TestBulkDrain:
+    def test_restored_then_flushed_page_keeps_its_new_value(self):
+        """The drain never touches a page traffic already restored."""
+        db, pages = build_db()
+        db.media_failure()
+        db.begin_instant_restore(eager=False)
+        victim = pages[3]  # rewritten by the post-backup tail too
+        db.read(victim)  # restored on demand
+        db.execute(PhysicalWrite(victim, "fresh"))
+        db.flush_page(victim)
+        assert db.stable.read_page(victim).value == "fresh"
+        db.finish_instant_restore()
+        assert db.stable.read_page(victim).value == "fresh"
+        expected = db.oracle.state()
+        for page in pages:
+            assert db.stable.read_page(page).value == expected[page]
+
+    def test_quarantine_seed_stays_formatted_after_bulk_lay(self):
+        db = Database(pages_per_partition=[8] * 4, policy="general")
+        pages = list(db.layout.all_pages())
+        for i, page in enumerate(pages):
+            db.execute(PhysicalWrite(page, ("v", i)))
+            db.flush_page(page)
+        # The media-log slice starts here, so no replayed blind write
+        # can heal a damaged backup page.
+        db.checkpoint()
+        db.start_backup(BackupConfig(steps=4))
+        backup = db.run_backup(BackupConfig(pages_per_tick=16))
+        for i in range(10):
+            db.execute(PhysicalWrite(pages[i], ("post", i)))
+        seed = pages[20]  # not rewritten by the tail: stays lost
+        rot_backup_page(backup, seed)
+        db.media_failure()
+        db.begin_instant_restore(eager=False)
+        db.read(pages[0])
+        outcome = db.finish_instant_restore()
+        assert outcome.quarantined == [seed]
+        assert db.stable.read_page(seed) == PageVersion(
+            db.initial_value, NULL_LSN
+        )
+        assert db.stable.verify_page(seed)
+
+
+class TestDrainIsBulk:
+    """Guard: the drain must not fall back to single-page restores."""
+
+    def test_drain_restores_in_bulk_not_page_by_page(self):
+        db = Database(pages_per_partition=[1024] * 16)
+        total = db.layout.total_pages()
+        db.start_backup(BackupConfig(steps=4))
+        db.run_backup(BackupConfig(pages_per_tick=4096))
+        every = list(db.layout.all_pages())
+        tail = every[::total // 200][:200]
+        for i in range(2000):
+            db.execute(PhysicalWrite(tail[i % len(tail)], ("tail", i)))
+        db.media_failure()
+        manager = db.begin_instant_restore(eager=False)
+
+        single_page = Counter()
+        restore_page = manager._restore_page_locked
+        install_version = db.stable.install_version
+
+        def counting_restore(pid, source):
+            single_page["restore"] += 1
+            return restore_page(pid, source)
+
+        def counting_install(page_id, version):
+            single_page["install"] += 1
+            return install_version(page_id, version)
+
+        manager._restore_page_locked = counting_restore
+        db.stable.install_version = counting_install
+        probe = every[7]
+        assert db.read(probe) == db.oracle.state().get(probe)
+        outcome = db.finish_instant_restore()
+
+        assert outcome.ok
+        assert single_page["restore"] == 1
+        assert single_page["install"] <= len(tail) + 1
+        assert manager.bitmap.complete
+        assert (
+            db.metrics.pages_restored_on_demand
+            + db.metrics.pages_restored_background
+            == total
+        )
+
+
 # ----------------------------------------------- fallback rejection tracing
 
 

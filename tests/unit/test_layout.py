@@ -47,6 +47,18 @@ class TestLayoutBasics:
             PageId(0, 0), PageId(0, 1), PageId(1, 0), PageId(1, 1),
         ]
 
+    def test_page_ids_are_built_once(self):
+        """Every walk of the layout hands out the same PageId objects."""
+        layout = Layout([3, 2])
+        assert layout.pages_in_partition(1) is layout.pages_in_partition(1)
+        assert all(
+            a is b for a, b in zip(layout.all_pages(), layout.all_pages())
+        )
+
+    def test_pages_in_partition_checks_range(self):
+        with pytest.raises(PartitionError):
+            Layout([4]).pages_in_partition(1)
+
 
 class TestStepBoundaries:
     def test_last_boundary_is_max(self):
