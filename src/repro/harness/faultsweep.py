@@ -22,7 +22,9 @@ class at every instrumented I/O boundary:
 * **bit rot** — seeded silent bit flips landed in the stable database,
   the backup image, or the log tail; the integrity envelopes must detect
   the damage and recovery must heal it (older generation, log-driven
-  rebuild) or quarantine it — never restore silently-wrong state.
+  rebuild) or quarantine it — never restore silently-wrong state.  The
+  ``bitrot-logtail-after-recovery`` runs rot a log record *after* a
+  recovery already verified it, which the next repair must still cut.
 
 Every scenario is run for the serial (page-at-a-time) and batched
 (bulk-span) copy engines, and again for the thread-parallel engine (a
@@ -45,7 +47,7 @@ from __future__ import annotations
 import random
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import BackupConfig
 from repro.db import Database
@@ -92,6 +94,15 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.total > 0 and self.recovered == self.total
+
+    def tally(self, ok: bool, *case, **fields) -> None:
+        """Count one run; an unrecovered one is recorded for replay
+        (``case`` and ``fields`` are :meth:`record_failure`'s)."""
+        self.total += 1
+        if ok:
+            self.recovered += 1
+        else:
+            self.record_failure(*case, **fields)
 
     def record_failure(
         self, label: str, specs, seed: int, batched: bool,
@@ -140,6 +151,11 @@ def _mode_name(batched: bool, workers: int = 1, log_streams: int = 1) -> str:
     if log_streams > 1:
         name += "-multistream"
     return name
+
+
+def _on(backend: str) -> str:
+    """The scenario-name suffix of a non-default backend."""
+    return "" if backend == "memory" else f"-{backend}"
 
 
 def _fresh_db(
@@ -267,24 +283,17 @@ def _transient_scenario(
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Transient faults at every instrumented point, one run per point."""
-    name = f"transient-{_mode_name(batched, workers)}"
-    if backend != "memory":
-        name += f"-{backend}"
+    name = f"transient-{_mode_name(batched, workers)}{_on(backend)}"
     result = ScenarioResult(name)
     for point in IOPoint.ALL:
         specs = [FaultSpec(FaultKind.TRANSIENT, point=point, at_io=2,
                            times=2)]
         ok, db = _run_one(specs, seed, batched, workers,
                           backend=backend, data_dir=data_dir)
-        result.total += 1
         plane = db.faults
         # A point the run never reaches (fault never fired) still counts
         # as recovered — the run is fault-free by construction then.
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(point, specs, seed, batched, workers,
-                                  backend=backend)
+        result.tally(ok, point, specs, seed, batched, workers, backend=backend)
         result.faults_injected += plane.injected_total
         result.io_retries += db.metrics.io_retries
     return result
@@ -296,9 +305,7 @@ def _torn_span_scenario(
 ) -> ScenarioResult:
     """Torn bulk backup spans: detected, resumed, and still recoverable."""
     name = ("torn-backup-span" if workers == 1
-            else "torn-backup-span-parallel")
-    if backend != "memory":
-        name += f"-{backend}"
+            else "torn-backup-span-parallel") + _on(backend)
     result = ScenarioResult(name)
     resumed = 0
     for at_io in (1, 2, 3):
@@ -306,12 +313,8 @@ def _torn_span_scenario(
                            at_io=at_io, keep=1)]
         ok, db = _run_one(specs, seed, batched=True, workers=workers,
                           backend=backend, data_dir=data_dir)
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"at_io={at_io}", specs, seed, True,
-                                  workers, backend=backend)
+        result.tally(ok, f"at_io={at_io}", specs, seed, True, workers,
+                     backend=backend)
         result.faults_injected += db.faults.injected_total
         result.io_retries += db.metrics.io_retries
         resumed += db.metrics.torn_spans_resumed
@@ -324,9 +327,7 @@ def _torn_install_scenario(
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Torn multi-page installs: doublewrite rollback + crash recovery."""
-    name = f"torn-install-{_mode_name(batched, workers)}"
-    if backend != "memory":
-        name += f"-{backend}"
+    name = f"torn-install-{_mode_name(batched, workers)}{_on(backend)}"
     result = ScenarioResult(name)
     repaired = 0
     for at_io in (1, 2, 4):
@@ -334,12 +335,8 @@ def _torn_install_scenario(
                            at_io=at_io, keep=1)]
         ok, db = _run_one(specs, seed, batched, workers,
                           backend=backend, data_dir=data_dir)
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"at_io={at_io}", specs, seed, batched,
-                                  workers, backend=backend)
+        result.tally(ok, f"at_io={at_io}", specs, seed, batched, workers,
+                     backend=backend)
         result.faults_injected += db.faults.injected_total
         repaired += db.metrics.torn_writes_repaired
     result.detail += f" repaired={repaired}"
@@ -362,8 +359,7 @@ def _crash_sweep_scenario(
     name = f"crash-sweep-{_mode_name(batched, workers, log_streams)}"
     if redo_workers > 1:
         name = f"parallel-redo-{name}"
-    if backend != "memory":
-        name += f"-{backend}"
+    name += _on(backend)
     budget, _ = _measure_io_budget(seed, batched, workers, log_streams,
                                    backend=backend, data_dir=data_dir,
                                    redo_workers=redo_workers)
@@ -373,14 +369,9 @@ def _crash_sweep_scenario(
         ok, db = _run_one(specs, seed, batched, workers, log_streams,
                           backend=backend, data_dir=data_dir,
                           redo_workers=redo_workers)
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"at_io={plan.at_io}", specs, seed,
-                                  batched, workers, log_streams,
-                                  backend=backend,
-                                  redo_workers=redo_workers)
+        result.tally(ok, f"at_io={plan.at_io}", specs, seed, batched,
+                     workers, log_streams, backend=backend,
+                     redo_workers=redo_workers)
         result.faults_injected += db.faults.injected_total
     return result
 
@@ -391,9 +382,8 @@ def _seeded_mix_scenario(
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Seeded random transient/torn schedules across all points."""
-    name = f"seeded-mix-{_mode_name(batched, workers, log_streams)}"
-    if backend != "memory":
-        name += f"-{backend}"
+    name = (f"seeded-mix-{_mode_name(batched, workers, log_streams)}"
+            + _on(backend))
     budget, per_point = _measure_io_budget(seed, batched, workers,
                                            log_streams, backend=backend,
                                            data_dir=data_dir)
@@ -407,15 +397,9 @@ def _seeded_mix_scenario(
         )
         ok, _ = _drive(db, seed, batched, workers=workers)
         db.close()
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(
-                f"round={round_index}",
-                [plan.to_spec() for plan in injector.io_plans],
-                seed, batched, workers, log_streams, backend=backend,
-            )
+        result.tally(ok, f"round={round_index}",
+                     [plan.to_spec() for plan in injector.io_plans],
+                     seed, batched, workers, log_streams, backend=backend)
         result.faults_injected += injector.faults_injected
         result.io_retries += db.metrics.io_retries
     return result
@@ -500,9 +484,7 @@ def _bitrot_scenarios(
     the logtail site: a truncated/healed tail feeds the parallel
     replayer a log slice that was damaged mid-record).
     """
-    mode = _mode_name(batched, workers)
-    if backend != "memory":
-        mode += f"-{backend}"
+    mode = _mode_name(batched, workers) + _on(backend)
     _, per_point = _measure_io_budget(seed, batched, workers,
                                       backend=backend, data_dir=data_dir,
                                       redo_workers=redo_workers)
@@ -530,19 +512,53 @@ def _bitrot_scenarios(
                                           workers=workers, backend=backend,
                                           data_dir=data_dir,
                                           redo_workers=redo_workers)
-            result.total += 1
-            if outcome.ok:
-                result.recovered += 1
-            else:
-                result.record_failure(f"at_io={at_io}", [spec], seed,
-                                      batched, workers, backend=backend,
-                                      redo_workers=redo_workers)
+            result.tally(outcome.ok, f"at_io={at_io}", [spec], seed,
+                         batched, workers, backend=backend,
+                         redo_workers=redo_workers)
             result.faults_injected += db.faults.injected_total
             result.io_retries += db.metrics.io_retries
             quarantined += len(getattr(outcome, "quarantined", []))
         result.detail += f" quarantined={quarantined}"
         results.append(result)
     return results
+
+
+def _logtail_after_recovery_scenario(
+    seed: int, log_streams: int = 1,
+    backend: str = "memory", data_dir: Optional[str] = None,
+) -> ScenarioResult:
+    """Tail rot after a recovery: crash, recover, rot, crash, recover.
+
+    Torn-tail repair checks only the records above its verified
+    watermark, so a record rotted in place after the last repair — the
+    newest one, at the next log append — must pull the watermark back.
+    A run counts as recovered only if the second recovery reaches the
+    oracle state *and* leaves no record failing its envelope.
+    """
+    name = "bitrot-logtail-after-recovery"
+    if log_streams > 1:
+        name += "-multistream"
+    result = ScenarioResult(name + _on(backend))
+    spec = FaultSpec(FaultKind.BITROT, point=IOPoint.LOG_APPEND, at_io=1,
+                     seed=seed)
+    for extra in (1, 4, 16):
+        db = _fresh_db(log_streams=log_streams, backend=backend,
+                       data_dir=data_dir)
+        ok, _ = _drive(db, seed, batched=True)
+        db.crash()
+        ok = db.recover().ok and ok
+        db.attach_faults(FaultPlane([spec]))
+        for op in mixed_logical_workload(db.layout, seed=seed + extra,
+                                         count=extra):
+            db.execute(op)
+        db.install_some(extra, random.Random(seed))
+        db.crash()
+        ok = db.recover().ok and not db.log.damaged_records() and ok
+        db.close()
+        result.tally(ok, f"extra={extra}", [spec], seed, True,
+                     log_streams=log_streams, backend=backend)
+        result.faults_injected += db.faults.injected_total
+    return result
 
 
 def _rot_backup_page(backup, page_id) -> None:
@@ -664,9 +680,8 @@ def _instant_scenarios(
     pool and mid-restore traffic in every case, so the drain's bulk path
     restores almost every page under each integrity path.
     """
-    mode = _mode_name(batched, workers) if eager else "lazy-drain"
-    if backend != "memory":
-        mode += f"-{backend}"
+    mode = (_mode_name(batched, workers) if eager else "lazy-drain")
+    mode += _on(backend)
     if executor != "thread":
         mode += f"-{executor}"
     result = ScenarioResult(f"instant-restore-{mode}")
@@ -680,12 +695,7 @@ def _instant_scenarios(
                                   workers=workers, backend=backend,
                                   data_dir=data_dir, executor=executor,
                                   eager=eager)
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(label, [], seed, batched, workers,
-                                  backend=backend)
+        result.tally(ok, label, [], seed, batched, workers, backend=backend)
         result.detail = (
             f" on_demand={db.metrics.pages_restored_on_demand}"
             f" background={db.metrics.pages_restored_background}"
@@ -740,10 +750,7 @@ def _archive_bitrot_scenario(
     ``heal_chain`` the full chain restore must be honest — oracle-exact
     outside an explicitly quarantined set.
     """
-    name = "archive-chain-bitrot-middle"
-    if backend != "memory":
-        name += f"-{backend}"
-    result = ScenarioResult(name)
+    result = ScenarioResult("archive-chain-bitrot-middle" + _on(backend))
     healed = quarantined = 0
     for case in range(3):
         db, archive, _, _ = _archive_db(seed + case, backend=backend,
@@ -756,12 +763,8 @@ def _archive_bitrot_scenario(
         db.media_failure()
         outcome = db.media_recover_chain(archive.chain())
         db.close()
-        result.total += 1
-        if outcome.ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"case={case}", [], seed + case, True,
-                                  backend=backend)
+        result.tally(outcome.ok, f"case={case}", [], seed + case, True,
+                     backend=backend)
         healed += len(report.healed)
         quarantined += len(report.quarantined)
     result.detail += f" healed={healed} quarantined={quarantined}"
@@ -782,10 +785,7 @@ def _archive_compaction_crash_scenario(
     """
     from repro.archive.manager import ArchiveManager
 
-    name = "archive-compaction-crash"
-    if backend != "memory":
-        name += f"-{backend}"
-    result = ScenarioResult(name)
+    result = ScenarioResult("archive-compaction-crash" + _on(backend))
     # 160 pages -> the merged overlay spans 3 bulk-record batches, so
     # the crash lands at the start, middle, and end of the build.
     for at_io in (1, 2, 3):
@@ -842,10 +842,7 @@ def _archive_pitr_scenario(
     from repro.ops.physical import PhysicalWrite
     from repro.recovery.redo import RedoReplayer
 
-    name = "archive-pitr-precorruption"
-    if backend != "memory":
-        name += f"-{backend}"
-    result = ScenarioResult(name)
+    result = ScenarioResult("archive-pitr-precorruption" + _on(backend))
     for case in range(2):
         db, archive, source, rng = _archive_db(seed + case, backend=backend,
                                                data_dir=data_dir)
@@ -870,12 +867,8 @@ def _archive_pitr_scenario(
         ok = (outcome.ok and mismatches == 0
               and state[PageId(0, 0)].value != garbage)
         db.close()
-        result.total += 1
-        if ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"case={case} mismatches={mismatches}",
-                                  [], seed + case, True, backend=backend)
+        result.tally(ok, f"case={case} mismatches={mismatches}", [],
+                     seed + case, True, backend=backend)
     return result
 
 
@@ -951,6 +944,9 @@ def run_faultsweep(
                                         backend=backend, data_dir=data_dir,
                                         redo_workers=4, only=("logtail",)):
             emit(result)
+        for log_streams in (1, 4):
+            emit(_logtail_after_recovery_scenario(
+                seed, log_streams, backend=backend, data_dir=data_dir))
         emit(_torn_span_scenario(seed, backend=backend, data_dir=data_dir))
         emit(_archive_bitrot_scenario(seed, backend=backend,
                                       data_dir=data_dir))
@@ -995,6 +991,10 @@ def run_faultsweep(
     for result in _bitrot_scenarios(seed, True, samples=2 if quick else 3,
                                     redo_workers=4, only=("logtail",)):
         emit(result)
+    # Tail rot after a recovery: the watermark-bounded torn-tail repair
+    # must still cut a record rotted since it last verified it.
+    for log_streams in (1, 4):
+        emit(_logtail_after_recovery_scenario(seed, log_streams))
     # Archive tier: chain healing, compaction crash atomicity, and
     # point-in-time restore to a pre-corruption cut (docs/ARCHIVE.md).
     emit(_archive_bitrot_scenario(seed))

@@ -186,6 +186,9 @@ class _SliceEvaluator:
             for page in record.op.writeset:
                 self._writers.setdefault(page, []).append(i)
         self._effects: Dict[int, Optional[Dict[PageId, PageVersion]]] = {}
+        # Set once any memoized effect came from a raising transform:
+        # besides quarantine seeds, the only way POISON enters a page.
+        self.raised = False
 
     # ------------------------------------------------------------ versions
 
@@ -288,7 +291,10 @@ class _SliceEvaluator:
         outcome = apply_record(
             record, lambda page: self._version_before(page, index)
         )
-        return None if outcome is None else outcome[0]
+        if outcome is None:
+            return None
+        self.raised |= outcome[1]
+        return outcome[0]
 
     def _ensure_writers_resolved(self, page: PageId) -> None:
         """Memoize the effects :meth:`_version_before` will consult."""
@@ -435,11 +441,16 @@ class RestoreManager:
 
     def _restore_page_locked(self, pid: PageId, source: str) -> None:
         """Compute and install one page's recovered version (lock held)."""
-        version = self._evaluator.final_version(pid)
+        evaluator = self._evaluator
+        version = evaluator.final_version(pid)
+        # A clean slice (no seeds, nothing raised) cannot hold POISON:
+        # skip the install rules' value walk, as the drain's classify does.
+        clean = not (self._seeds or evaluator.raised)
         with self._io_guard():
             install_recovered_page(
                 self.stable, pid, version, self.initial_value,
                 self.tracer, self.metrics, kind="instant",
+                poisoned=False if clean else None,
             )
         self.bitmap.mark(pid)
         if self.metrics is not None:
@@ -600,10 +611,11 @@ class RestoreManager:
             metrics=carrier,
             base=self.chosen.read_page,
         )
-        _, computed = replayer.replay_with_effects(
+        stats, computed = replayer.replay_with_effects(
             self._records, poison_seeds(self.quarantine_seed)
         )
         with self._lock:
+            evaluator.raised |= bool(stats.poisoned)
             for index, effect in enumerate(computed):
                 evaluator._effects.setdefault(index, effect)
             if carrier is not None:

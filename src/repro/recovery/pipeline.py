@@ -116,8 +116,12 @@ def conclude_recovery(
     the *quarantine* report instead, excluded from the diff against
     ``expected``.  The diff also covers the pages of ``base`` replay
     never wrote; it is consumed only when ``expected`` is given.
+
+    POISON enters ``state`` only as a seed or from a record whose
+    transform raised (``stats.poisoned``); with neither, no value can
+    hold it and the verdict is empty without walking any value.
     """
-    poisoned = surviving_poison(state)
+    poisoned = surviving_poison(state) if seeded or stats.poisoned else []
     quarantined = []
     if seeded:
         quarantined, poisoned = poisoned, []
@@ -235,7 +239,7 @@ def run_recovery(
                     quarantined=len(outcome.quarantined))
     if stable is not None:
         with tracer.span(span + ".install"):
-            # Classify already walked every value for POISON: reuse it.
+            # Classify already decided every value's POISON verdict.
             tainted = set(outcome.poisoned).union(outcome.quarantined)
             for pid, version in state.items():
                 install_recovered_page(

@@ -19,7 +19,7 @@ fsynced log files).  Use :func:`open_backend` to construct one from a
 :class:`~repro.core.config.BackupConfig` or explicit keywords.
 """
 
-from repro.storage.page import Page, PageVersion
+from repro.storage.page import PageVersion
 from repro.storage.layout import Layout
 from repro.storage.stable_db import StableDatabase
 from repro.storage.backup_db import BackupDatabase, BackupStatus
@@ -34,7 +34,6 @@ from repro.storage.api import (
 )
 
 __all__ = [
-    "Page",
     "PageVersion",
     "Layout",
     "StableDatabase",

@@ -210,17 +210,11 @@ class FileStableDatabase(StableDatabase):
 
     def _store_version(self, page_id: PageId, version: PageVersion) -> None:
         super()._store_version(page_id, version)
-        blob = _pack_record(_encode_body(page_id.slot, version))
-        partition = page_id.partition
-        self._files[partition].write(blob)
-        offset = self._sizes[partition]
-        self._sizes[partition] = offset + len(blob)
-        self._locs[page_id] = (offset + _LEN.size, len(blob) - _LEN.size)
-        self.bytes_written += len(blob)
+        self._device_lay({page_id: version})
 
     def _device_lay(self, versions) -> None:
-        # One record per cell, as _store_version writes them, but one
-        # write() per partition for the whole lay.
+        # One record per cell, one write() per partition for the whole
+        # lay: a single install, a drain's lay, or a restore.
         pending: Dict[int, List[bytes]] = {}
         for page_id, version in versions.items():
             blob = _pack_record(_encode_body(page_id.slot, version))
@@ -314,7 +308,7 @@ class FileStableDatabase(StableDatabase):
             if status == CORRUPT:
                 raise CorruptPageError(pid, store="stable")
             if status == IN_MEMORY:
-                version = self._verify(pid, self._page(pid).version)
+                version = self._verify(pid, self._version(pid))
             else:
                 version = PageVersion(value, lsn)
             out.append((pid, version))

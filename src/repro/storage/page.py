@@ -114,38 +114,3 @@ class PageVersion:
             object.__setattr__(self, "_crc", crc)
         return crc
 
-
-@dataclass
-class Page:
-    """A mutable page cell as held by a page store or the cache.
-
-    ``Page`` is a thin mutable wrapper over :class:`PageVersion` so that
-    stores can update in place while snapshots stay immutable.
-    """
-
-    page_id: PageId
-    version: PageVersion
-
-    @classmethod
-    def empty(cls, page_id: PageId, initial_value: Any = None) -> "Page":
-        return cls(page_id, PageVersion(initial_value, NULL_LSN))
-
-    @property
-    def value(self) -> Any:
-        return self.version.value
-
-    @property
-    def page_lsn(self) -> LSN:
-        return self.version.page_lsn
-
-    def update(self, value: Any, lsn: LSN) -> None:
-        """Overwrite the page content, stamping it with ``lsn``.
-
-        LSN-based recovery never rolls state backward, so the stamp must
-        not decrease except for the deliberate NULL_LSN reset used when
-        formatting a store.
-        """
-        self.version = self.version.with_update(value, lsn)
-
-    def snapshot(self) -> PageVersion:
-        return self.version

@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.ids import LSN, NULL_LSN, PageId
 from repro.storage.layout import Layout
-from repro.storage.page import Page, PageVersion, rot_value
+from repro.storage.page import PageVersion, rot_value
 
 
 class StableDatabase:
@@ -57,7 +57,8 @@ class StableDatabase:
 
     def __init__(self, layout: Layout, initial_value: Any = None):
         self.layout = layout
-        self._pages: Dict[PageId, Page] = {}
+        # One cell per layout page, holding its current version.
+        self._pages: Dict[PageId, PageVersion] = {}
         # Integrity stamps, one per page cell: the version object that
         # was legitimately installed there (see class docstring).
         self._stamps: Dict[PageId, PageVersion] = {}
@@ -128,7 +129,7 @@ class StableDatabase:
         """Discard the shadow journal after a completed install."""
 
     def _device_lay(self, versions: Mapping[PageId, PageVersion]) -> None:
-        """Persist the cells :meth:`lay_pages` just installed."""
+        """Persist the cells :meth:`_lay` just installed."""
 
     # ------------------------------------------------------------- integrity
 
@@ -139,15 +140,30 @@ class StableDatabase:
         versions are immutable and rot replaces a cell's version
         wholesale, so the ``version is stamp`` test is unaffected.
         """
-        formatted = PageVersion(initial_value, NULL_LSN)
-        page_ids = list(page_ids)
-        self._pages.update((pid, Page(pid, formatted)) for pid in page_ids)
-        self._stamps.update(dict.fromkeys(page_ids, formatted))
+        formatted = dict.fromkeys(
+            page_ids, PageVersion(initial_value, NULL_LSN)
+        )
+        self._pages.update(formatted)
+        self._stamps.update(formatted)
 
     def _store_version(self, page_id: PageId, version: PageVersion) -> None:
         """Install a version into its cell, refreshing the stamp."""
-        self._pages[page_id].version = version
+        self._pages[page_id] = version
         self._stamps[page_id] = version
+
+    def _lay(self, versions: Mapping[PageId, PageVersion], within) -> None:
+        """The one bulk install: every page must be in the set-like
+        ``within`` (checked before any cell changes); cells, stamps and
+        device records end as per-page :meth:`_store_version` calls
+        would leave them."""
+        if not versions.keys() <= within:
+            raise PageNotFoundError(
+                next(pid for pid in versions if pid not in within)
+            )
+        self._pages.update(versions)
+        self._stamps.update(versions)
+        if self._has_device:
+            self._device_lay(versions)
 
     def _verify(self, page_id: PageId, version: PageVersion) -> PageVersion:
         stamp = self._stamps[page_id]
@@ -157,19 +173,24 @@ class StableDatabase:
 
     def verify_page(self, page_id: PageId) -> bool:
         """Does this page's content still match its integrity envelope?"""
-        version = self._page(page_id).version
+        version = self._version(page_id)
         stamp = self._stamps[page_id]
         return version is stamp or version.checksum() == stamp.checksum()
 
     def damaged_pages(self) -> List[PageId]:
         """Every page failing its integrity check (raw scan, no media
-        gate — scrubbing and recovery must see damage on failed media)."""
-        stamps = self._stamps
+        gate — scrubbing and recovery must see damage on failed media).
+        The C-speed ``cells == stamps`` screen short-circuits on identity,
+        and an equal value and LSN imply an equal CRC: only a store with
+        some cell unequal to its stamp pays the per-cell walk."""
+        cells, stamps = self._pages, self._stamps
+        if cells == stamps:
+            return []
         return sorted(
             pid
-            for pid, page in self._pages.items()
-            if page.version is not stamps[pid]
-            and page.version.checksum() != stamps[pid].checksum()
+            for pid, version in cells.items()
+            if version is not stamps[pid]
+            and version.checksum() != stamps[pid].checksum()
         )
 
     def pages_ahead_of(self, lsn: LSN) -> List[PageId]:
@@ -182,8 +203,8 @@ class StableDatabase:
         """
         return sorted(
             pid
-            for pid, page in self._pages.items()
-            if page.version.page_lsn > lsn
+            for pid, version in self._pages.items()
+            if version.page_lsn > lsn
         )
 
     def _bitrot(self, rng) -> bool:
@@ -196,8 +217,8 @@ class StableDatabase:
         """
         written = [
             pid
-            for pid, page in self._pages.items()
-            if page.version.page_lsn > NULL_LSN
+            for pid, version in self._pages.items()
+            if version.page_lsn > NULL_LSN
         ]
         candidates = written or sorted(self._pages)
         if not candidates:
@@ -211,9 +232,8 @@ class StableDatabase:
         Device-backed subclasses extend this to also flip bytes in the
         on-disk record, so the same injection damages both surfaces.
         """
-        page = self._pages[pid]
-        old = page.version
-        page.version = PageVersion(rot_value(old.value), old.page_lsn)
+        old = self._pages[pid]
+        self._pages[pid] = PageVersion(rot_value(old.value), old.page_lsn)
 
     # ------------------------------------------------------------------ reads
 
@@ -227,7 +247,7 @@ class StableDatabase:
             time.sleep(self.io_delay_s)
         if self._has_device:
             self._device_read(page_id)
-        return self._verify(page_id, self._page(page_id).snapshot())
+        return self._verify(page_id, self._version(page_id))
 
     def _begin_bulk_read(self) -> None:
         """Protocol-boundary checks shared by every bulk-read entry point.
@@ -267,7 +287,7 @@ class StableDatabase:
                     )
                 checked.add(partition)
             try:
-                version = pages[pid].version
+                version = pages[pid]
             except KeyError:
                 raise PageNotFoundError(pid) from None
             if has_device:
@@ -283,8 +303,7 @@ class StableDatabase:
 
     def iter_pages(self) -> Iterator[Tuple[PageId, PageVersion]]:
         self._check_media()
-        for pid in self.layout.all_pages():
-            yield pid, self._pages[pid].snapshot()
+        yield from self._pages.items()  # layout order: keys never change
 
     def cell(self, page_id: PageId) -> Optional[PageVersion]:
         """One cell exactly as :meth:`iter_pages` yields it, ``None``
@@ -293,13 +312,12 @@ class StableDatabase:
         with :meth:`damaged_pages` first)."""
         if self._failed:
             raise MediaFailureError("stable database media has failed")
-        page = self._pages.get(page_id)
-        return None if page is None else page.version
+        return self._pages.get(page_id)
 
     def snapshot(self) -> Dict[PageId, PageVersion]:
         """A consistent point-in-time copy of the whole store (test aid)."""
         self._check_media()
-        return {pid: page.snapshot() for pid, page in self._pages.items()}
+        return dict(self._pages)
 
     # ----------------------------------------------------------------- writes
 
@@ -310,8 +328,8 @@ class StableDatabase:
             from repro.sim.faults import IOPoint
 
             self._faults.check(IOPoint.STABLE_WRITE, corrupt=self._bitrot)
-        page = self._page(page_id)
-        self._store_version(page_id, page.version.with_update(value, lsn))
+        version = self._version(page_id).with_update(value, lsn)
+        self._store_version(page_id, version)
         self.page_writes += 1
 
     def write_pages_atomically(
@@ -330,7 +348,8 @@ class StableDatabase:
         self._check_media()
         for pid in versions:
             self._check_media(pid.partition)
-        cells = [(pid, self._page(pid), ver) for pid, ver in versions.items()]
+            self._version(pid)  # validates the id
+        cells = list(versions.items())
         torn_keep: Optional[int] = None
         if self._faults is not None:
             from repro.sim.faults import IOPoint
@@ -343,18 +362,18 @@ class StableDatabase:
             )
             if len(cells) > 1:
                 self._shadow = [
-                    (pid, self._pages[pid].version) for pid in versions
+                    (pid, self._pages[pid]) for pid in versions
                 ]
                 if self._has_device:
                     self._device_journal(self._shadow)
         if torn_keep is not None:
-            for pid, _cell, ver in cells[:torn_keep]:
+            for pid, ver in cells[:torn_keep]:
                 self._store_version(pid, ver)
                 self.page_writes += 1
             raise SimulatedCrash(
                 "stable.write_multi", self._faults.io_count, torn=True
             )
-        for pid, _cell, ver in cells:
+        for pid, ver in cells:
             self._store_version(pid, ver)
             self.page_writes += 1
         if self._shadow:
@@ -380,16 +399,8 @@ class StableDatabase:
         recovery I/O, which callers run with faults suspended.
         """
         self._check_media()
-        pages = self._pages
-        try:
-            for pid, version in versions.items():
-                pages[pid].version = version
-        except KeyError as exc:
-            raise PageNotFoundError(exc.args[0]) from None
-        self._stamps.update(versions)
+        self._lay(versions, self._pages.keys())
         self.page_writes += len(versions)
-        if self._has_device:
-            self._device_lay(versions)
 
     # ------------------------------------------------------ torn-write repair
 
@@ -443,36 +454,33 @@ class StableDatabase:
         """Re-format one partition from backup content; other partitions
         are untouched."""
         self._failed_partitions.discard(partition)
-        self._format(self.layout.pages_in_partition(partition), initial_value)
-        for pid, ver in versions.items():
-            if pid.partition != partition:
-                raise PageNotFoundError(pid)
-            self._store_version(pid, ver)
+        pages = self.layout.pages_in_partition(partition)
+        self._format(pages, initial_value)
+        self._lay(versions, frozenset(pages))
 
     def restore_from(
         self, versions, initial_value: Any = None
     ) -> None:
         """Re-format the store from backup content (off-line restore, §1).
 
-        ``versions`` is a mapping of ``PageId`` to ``PageVersion``, or —
-        for the streamed restore path — any iterable of ``(page_id,
-        version)`` pairs (e.g. ``BackupDatabase.iter_pages()``), so the
-        backup image never has to be materialized as a second full dict.
-        Pages absent from ``versions`` (never copied because never
-        written) are formatted to the initial value.
+        ``versions`` is a mapping of ``PageId`` to ``PageVersion``, or
+        any iterable of ``(page_id, version)`` pairs (e.g.
+        ``BackupDatabase.iter_pages()``); it is laid as one dict, checked
+        against the layout before any cell changes.  Pages absent from
+        ``versions`` (never copied because never written) are formatted
+        to the initial value.
         """
+        versions = dict(versions)
         self._failed = False
         self._failed_partitions.clear()
         self._shadow = []
-        self._format(self.layout.all_pages(), initial_value)
-        items = versions.items() if hasattr(versions, "items") else versions
-        for pid, ver in items:
-            self._page(pid)  # validates the id
-            self._store_version(pid, ver)
+        # Every cell, keyed in layout order; fromkeys reuses a dict's hashes.
+        self._format(self._pages, initial_value)
+        self._lay(versions, self._pages.keys())
 
     # --------------------------------------------------------------- plumbing
 
-    def _page(self, page_id: PageId) -> Page:
+    def _version(self, page_id: PageId) -> PageVersion:
         try:
             return self._pages[page_id]
         except KeyError:

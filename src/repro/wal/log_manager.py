@@ -30,6 +30,7 @@ and redo, and every logged operation is treated as committed.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import LogTruncatedError, WALViolationError
@@ -41,6 +42,8 @@ from repro.wal.records import LogRecord, RecordFlag
 
 # Cached late import (see LogManager._checksum).
 _record_checksum = None
+
+_crc_of = attrgetter("crc")
 
 
 class LogStats:
@@ -136,6 +139,9 @@ class LogManager:
         # Records dropped when a damaged tail was truncated (repair_tail
         # here, or load_log(repair_tail=True) for shipped log files).
         self.tail_repair_dropped = 0
+        # Every record at or below this LSN verified at the last
+        # repair_tail and has not changed since.
+        self._verified_lsn: LSN = NULL_LSN
         # Simulated cost of one durability event (fsync-equivalent).
         # Zero by default; the append/force benchmarks set it so the
         # one-force-per-caller pattern pays a per-call device latency.
@@ -268,36 +274,57 @@ class LogManager:
         ``tail_repair_dropped``), and emits a structured
         ``log_tail_repair`` trace event carrying the dropped count and
         cut LSN so faultsweep trace replays show where the tail was cut.
+
+        Only records above the verified watermark are checked — those
+        appended since the last repair, or rotted in place since
+        (:meth:`_bitrot` pulls the watermark back) — after a C-speed
+        screen: no envelope (``crc is None``) verifies trivially.
+        :meth:`damaged_records` (the scrubber) still checks them all.
         """
-        cut = None
-        for i, record in enumerate(self._records):
-            if not self.verify_record(record):
-                cut = i
-                break
-        if cut is None:
+        suffix = self._unverified()
+        damaged = []
+        if list(map(_crc_of, suffix)).count(None) < len(suffix):
+            damaged = [r.lsn for r in suffix if not self.verify_record(r)]
+        if not damaged:
+            self._verified_lsn = self.end_lsn
             return 0
-        dropped = len(self._records) - cut
-        self.stats.remove_all(self._records[cut:])
-        del self._records[cut:]
+        cut_lsn = min(damaged)
+        dropped = self._cut_tail(cut_lsn)
+        self._verified_lsn = cut_lsn - 1
         if self._flushed_lsn > self.end_lsn:
             self._flushed_lsn = self.end_lsn
         self.tail_repair_dropped += dropped
         self._emit_tail_repair(dropped)
         return dropped
 
+    def _unverified(self) -> List[LogRecord]:
+        """The retained records above the verified watermark."""
+        start = max(self._verified_lsn + 1, self._first_lsn)
+        return self._records[start - self._first_lsn:]
+
+    def _cut_tail(self, cut_lsn: LSN) -> int:
+        """Discard every record from ``cut_lsn`` on; returns how many."""
+        removed = self._records[cut_lsn - self._first_lsn:]
+        self.stats.remove_all(removed)
+        del self._records[cut_lsn - self._first_lsn:]
+        return len(removed)
+
     def _bitrot(self, rng) -> bool:
         """Silently rot one log record (fault-plane corruptor).
 
-        Flips one bit of the *last* record's stored envelope — tail rot,
-        the damage torn-tail repair is built for.  Returns ``False``
-        when the log is empty (the fault stays armed).
+        Flips one bit of the *newest* record's stored envelope — tail
+        rot, the damage torn-tail repair is built for — and pulls the
+        verified watermark back below it: the record changed since it
+        was last checked.  Returns ``False`` when the log is empty (the
+        fault stays armed).
         """
         if not self._records:
             return False
-        record = self._records[-1]
+        record = self.record_at(self.end_lsn)
         if record.crc is None:
             record.crc = 0
         record.crc ^= 1 << rng.randrange(32)
+        self._verified_lsn = min(self._verified_lsn, record.lsn - 1)
         return True
 
     def discard_unflushed(self) -> int:
@@ -313,6 +340,9 @@ class LogManager:
             cut = self._flushed_lsn - self._first_lsn + 1
             self.stats.remove_all(self._records[cut:])
             del self._records[cut:]
+            # The lost LSNs are reused by the next appends, which must
+            # not inherit the dropped records' verification.
+            self._verified_lsn = min(self._verified_lsn, self.end_lsn)
             if self.device is not None:
                 # The volatile device buffer is lost with the process.
                 self.device.drop_pending()

@@ -100,9 +100,6 @@ class LogStream:
             return self.lsns[self.flushed_count]
         return None
 
-    def unflushed_count(self) -> int:
-        return len(self.records) - self.flushed_count
-
     def slice(self, from_lsn: LSN, to_lsn: LSN) -> Iterator[LogRecord]:
         """This stream's records with ``from_lsn <= lsn <= to_lsn``."""
         lo = bisect_left(self.lsns, from_lsn)
@@ -373,34 +370,24 @@ class MultiLogManager(LogManager):
 
     # ------------------------------------------------------------ integrity
 
-    def _bitrot(self, rng) -> bool:
-        """Rot the globally newest record (some stream's tail)."""
-        tails = [s.records[-1] for s in self.streams if s.records]
-        if not tails:
-            return False
-        record = max(tails, key=lambda r: r.lsn)
-        if record.crc is None:
-            record.crc = 0
-        record.crc ^= 1 << rng.randrange(32)
-        return True
+    # ``repair_tail`` and ``_bitrot`` are the base class's; the two hooks
+    # below select and cut per stream.  Global LSNs are never reused
+    # after a crash, so the verified watermark needs no clamp here.
 
-    def repair_tail(self) -> int:
-        """Cut every stream back to just before the first corrupt record.
+    def _unverified(self) -> List[LogRecord]:
+        """Each stream's records above the verified watermark."""
+        suffix: List[LogRecord] = []
+        for s in self.streams:
+            suffix += s.records[bisect_right(s.lsns, self._verified_lsn):]
+        return suffix
+
+    def _cut_tail(self, cut_lsn: LSN) -> int:
+        """Cut every stream back to just before ``cut_lsn``.
 
         The first (lowest-LSN) checksum-failed record marks the end of
         the trustworthy log *globally*: it and everything after it — a
-        suffix of each stream — is discarded, exactly matching the
-        single-stream cut semantics.
+        suffix of each stream — is discarded.
         """
-        damaged = [
-            r.lsn
-            for s in self.streams
-            for r in s.records
-            if not self.verify_record(r)
-        ]
-        if not damaged:
-            return 0
-        cut_lsn = min(damaged)
         dropped = 0
         for stream in self.streams:
             removed = stream.drop_after(cut_lsn - 1)
@@ -408,10 +395,6 @@ class MultiLogManager(LogManager):
             dropped += len(removed)
         self._ensure_order()
         del self._records[cut_lsn - self._first_lsn:]
-        if self._flushed_lsn > self.end_lsn:
-            self._flushed_lsn = self.end_lsn
-        self.tail_repair_dropped += dropped
-        self._emit_tail_repair(dropped)
         return dropped
 
     def discard_unflushed(self) -> int:

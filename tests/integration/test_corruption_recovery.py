@@ -32,9 +32,7 @@ def pid(slot):
 
 def rot_stable_page(db, page_id):
     """Targeted bit rot: replace the cell, leave the envelope stale."""
-    page = db.stable._pages[page_id]
-    old = page.version
-    page.version = PageVersion(rot_value(old.value), old.page_lsn)
+    db.stable._rot_cell(page_id)
 
 
 def rot_backup_page(backup, page_id):

@@ -27,6 +27,8 @@ class TestFaultsweep:
             "seeded-mix-serial", "seeded-mix-batched",
             "torn-backup-span",
             "instant-restore-lazy-drain",
+            "bitrot-logtail-after-recovery",
+            "bitrot-logtail-after-recovery-multistream",
         } <= names
 
     def test_faults_actually_fired(self):
@@ -57,6 +59,8 @@ class TestFaultsweep:
             "transient-parallel-file", "crash-sweep-parallel-file",
             "torn-backup-span-file",
             "instant-restore-lazy-drain-file",
+            "bitrot-logtail-after-recovery-file",
+            "bitrot-logtail-after-recovery-multistream-file",
         } <= names
 
     def test_cli_exit_code_and_output(self, capsys):

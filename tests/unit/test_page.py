@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.ids import NULL_LSN, PageId
-from repro.storage.page import Page, PageVersion, check_value
+from repro.ids import NULL_LSN
+from repro.storage.page import PageVersion, check_value
 
 
 class TestCheckValue:
@@ -31,22 +31,3 @@ class TestPageVersion:
         with pytest.raises(ValueError):
             PageVersion("v", -1)
 
-
-class TestPage:
-    def test_empty_page(self):
-        page = Page.empty(PageId(0, 0), initial_value=())
-        assert page.value == ()
-        assert page.page_lsn == NULL_LSN
-
-    def test_update_stamps_lsn(self):
-        page = Page.empty(PageId(0, 0))
-        page.update(("x",), 7)
-        assert page.value == ("x",)
-        assert page.page_lsn == 7
-
-    def test_snapshot_is_immutable_view(self):
-        page = Page.empty(PageId(0, 0))
-        snap = page.snapshot()
-        page.update("new", 3)
-        assert snap.value is None
-        assert page.snapshot().value == "new"
