@@ -22,7 +22,9 @@ way that flushing does" — so a hot page that is never flushed does not
 pin the log, as long as it keeps being identity-logged.
 
 Retiring old backups releases their log ranges; the oldest retained
-backup bounds how much media-recovery history survives.
+backup bounds how much media-recovery history survives.  An instant
+restore in progress pins its own generation's scan start until its
+drain returns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ class LogRetention:
         self.cm = cm
         self.engine = engine
         self._retired_ids = set()
+        # The instant restore in progress, if any (set and cleared by
+        # Database).  Its evaluator and drain read the media-log slice
+        # from the live log, so the slice stays pinned until the drain
+        # returns — even if its generation is retired meanwhile.
+        self.active_restore = None
 
     def retained_backups(self) -> List[BackupDatabase]:
         return [
@@ -125,6 +132,8 @@ class LogRetention:
         active = self.engine.active
         if active is not None and not active.is_sealed:
             candidates.append(active.backup.media_scan_start_lsn)
+        if self.active_restore is not None:
+            candidates.append(self.active_restore.chosen.media_scan_start_lsn)
         return min(candidates)
 
     def truncate_log(self) -> int:

@@ -187,9 +187,8 @@ class Database:
         # The log-structured archive tier, attached on demand
         # (attach_archive); None until then.
         self.archive = None
-        # The active instant restore (begin_/finish_instant_restore) and
-        # the damaged-page count its begin detected.
-        self._instant: Optional[RestoreManager] = None
+        # The damaged-page count the active instant restore's begin
+        # detected (the restore itself is retention.active_restore).
         self._instant_damaged = 0
         self.faults: Optional[FaultPlane] = None
         self.tracer = NULL_TRACER
@@ -832,9 +831,11 @@ class Database:
         self.cm.reload_after_recovery()
         self.cm.restore_hook = manager.ensure_restored
         self.cm.stable_truncation_point = self.log.end_lsn + 1
+        # Held by the retention, which pins the media-log slice until the
+        # drain returns: the restore reads it from the live log.
+        self.retention.active_restore = manager
         if eager:
             manager.start_background(workers=workers, executor=executor)
-        self._instant = manager
         return manager
 
     def finish_instant_restore(self) -> RecoveryOutcome:
@@ -846,12 +847,12 @@ class Database:
         traffic only ever observed fully restored pages, so its cached
         (possibly dirty) contents remain the current state.
         """
-        manager = self._instant
+        manager = self.retention.active_restore
         if manager is None:
             raise RecoveryError("no instant restore in progress")
         outcome = manager.drain()
         self.cm.restore_hook = None
-        self._instant = None
+        self.retention.active_restore = None
         self._settle_damage(self._instant_damaged, outcome)
         return self._stamp_outcome(outcome)
 

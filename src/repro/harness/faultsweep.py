@@ -161,7 +161,7 @@ def _on(backend: str) -> str:
 def _fresh_db(
     pages: int = 48, workers: int = 1, log_streams: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    redo_workers: int = 1,
+    redo_workers: int = 1, tracer=None,
 ) -> Database:
     """A fresh database for one sweep run.
 
@@ -184,10 +184,11 @@ def _fresh_db(
         return Database(pages_per_partition=[per_part] * 4,
                         policy="general", log_streams=log_streams,
                         backend=backend, data_dir=run_dir,
-                        redo_workers=redo_workers)
+                        redo_workers=redo_workers, tracer=tracer)
     return Database(pages_per_partition=[pages], policy="general",
                     log_streams=log_streams, backend=backend,
-                    data_dir=run_dir, redo_workers=redo_workers)
+                    data_dir=run_dir, redo_workers=redo_workers,
+                    tracer=tracer)
 
 
 def _drive(
@@ -239,11 +240,11 @@ def _drive(
 def _run_one(
     specs: List[FaultSpec], seed: int, batched: bool, workers: int = 1,
     log_streams: int = 1, backend: str = "memory",
-    data_dir: Optional[str] = None, redo_workers: int = 1,
+    data_dir: Optional[str] = None, redo_workers: int = 1, tracer=None,
 ) -> Tuple[bool, Database]:
     db = _fresh_db(workers=workers, log_streams=log_streams,
                    backend=backend, data_dir=data_dir,
-                   redo_workers=redo_workers)
+                   redo_workers=redo_workers, tracer=tracer)
     db.attach_faults(FaultPlane(specs))
     ok, _ = _drive(db, seed, batched, workers=workers)
     # Release file descriptors (file backend); in-memory state —
@@ -420,9 +421,7 @@ def _run_bitrot_one(
     downgrades to a crash + recover check on the spot.
     """
     db = _fresh_db(workers=workers, backend=backend, data_dir=data_dir,
-                   redo_workers=redo_workers)
-    if tracer is not None:
-        db.attach_tracer(tracer)
+                   redo_workers=redo_workers, tracer=tracer)
     db.attach_faults(FaultPlane([spec]))
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=120)
@@ -542,23 +541,36 @@ def _logtail_after_recovery_scenario(
     spec = FaultSpec(FaultKind.BITROT, point=IOPoint.LOG_APPEND, at_io=1,
                      seed=seed)
     for extra in (1, 4, 16):
-        db = _fresh_db(log_streams=log_streams, backend=backend,
-                       data_dir=data_dir)
-        ok, _ = _drive(db, seed, batched=True)
-        db.crash()
-        ok = db.recover().ok and ok
-        db.attach_faults(FaultPlane([spec]))
-        for op in mixed_logical_workload(db.layout, seed=seed + extra,
-                                         count=extra):
-            db.execute(op)
-        db.install_some(extra, random.Random(seed))
-        db.crash()
-        ok = db.recover().ok and not db.log.damaged_records() and ok
-        db.close()
+        ok, db = _run_logtail_after_recovery_one(
+            spec, seed, extra, log_streams, backend=backend,
+            data_dir=data_dir,
+        )
         result.tally(ok, f"extra={extra}", [spec], seed, True,
                      log_streams=log_streams, backend=backend)
         result.faults_injected += db.faults.injected_total
     return result
+
+
+def _run_logtail_after_recovery_one(
+    spec: FaultSpec, seed: int, extra: int, log_streams: int = 1,
+    backend: str = "memory", data_dir: Optional[str] = None, tracer=None,
+) -> Tuple[bool, Database]:
+    """One run: drive, crash, recover, arm ``spec`` (rot at the next
+    append), ``extra`` more operations, crash, recover."""
+    db = _fresh_db(log_streams=log_streams, backend=backend,
+                   data_dir=data_dir, tracer=tracer)
+    ok, _ = _drive(db, seed, batched=True)
+    db.crash()
+    ok = db.recover().ok and ok
+    db.attach_faults(FaultPlane([spec]))
+    for op in mixed_logical_workload(db.layout, seed=seed + extra,
+                                     count=extra):
+        db.execute(op)
+    db.install_some(extra, random.Random(seed))
+    db.crash()
+    ok = db.recover().ok and not db.log.damaged_records() and ok
+    db.close()
+    return ok, db
 
 
 def _rot_backup_page(backup, page_id) -> None:
@@ -575,7 +587,7 @@ def _run_instant_one(
     seed: int, batched: bool, rot: str = "none", traffic: bool = True,
     workers: int = 1, backend: str = "memory",
     data_dir: Optional[str] = None, executor: str = "thread",
-    eager: bool = True,
+    eager: bool = True, tracer=None,
 ) -> Tuple[bool, Database]:
     """One instant-restore run: mid-restore reads must be exactly right.
 
@@ -596,7 +608,8 @@ def _run_instant_one(
     """
     from repro.ops.physical import PhysicalWrite
 
-    db = _fresh_db(workers=workers, backend=backend, data_dir=data_dir)
+    db = _fresh_db(workers=workers, backend=backend, data_dir=data_dir,
+                   tracer=tracer)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=120)
     tick = 4 * db.layout.num_partitions  # see _drive
@@ -669,6 +682,15 @@ def _run_instant_one(
     return ok, db
 
 
+#: Instant-restore cases: label -> (rot, mid-restore traffic alongside
+#: the eager pool).  Without the pool every case carries traffic.
+_INSTANT_CASES = {
+    "mid-restore-traffic": ("none", True),
+    "bitrot-fallback": ("fallback", False),
+    "bitrot-quarantine": ("quarantine", False),
+}
+
+
 def _instant_scenarios(
     seed: int, batched: bool, workers: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
@@ -685,13 +707,9 @@ def _instant_scenarios(
     if executor != "thread":
         mode += f"-{executor}"
     result = ScenarioResult(f"instant-restore-{mode}")
-    cases = (
-        ("mid-restore-traffic", "none", True),
-        ("bitrot-fallback", "fallback", not eager),
-        ("bitrot-quarantine", "quarantine", not eager),
-    )
-    for label, rot, traffic in cases:
-        ok, db = _run_instant_one(seed, batched, rot=rot, traffic=traffic,
+    for label, (rot, traffic) in _INSTANT_CASES.items():
+        ok, db = _run_instant_one(seed, batched, rot=rot,
+                                  traffic=traffic or not eager,
                                   workers=workers, backend=backend,
                                   data_dir=data_dir, executor=executor,
                                   eager=eager)
@@ -708,7 +726,7 @@ def _instant_scenarios(
 
 def _archive_db(
     seed: int, pages: int = 48,
-    backend: str = "memory", data_dir: Optional[str] = None,
+    backend: str = "memory", data_dir: Optional[str] = None, tracer=None,
 ):
     """A database carrying a three-generation archive chain.
 
@@ -717,7 +735,8 @@ def _archive_db(
     production chains are).  Returns ``(db, archive, source, rng)`` so a
     scenario can keep driving the same workload stream afterwards.
     """
-    db = _fresh_db(pages=pages, backend=backend, data_dir=data_dir)
+    db = _fresh_db(pages=pages, backend=backend, data_dir=data_dir,
+                   tracer=tracer)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=10**9)
 
@@ -753,22 +772,32 @@ def _archive_bitrot_scenario(
     result = ScenarioResult("archive-chain-bitrot-middle" + _on(backend))
     healed = quarantined = 0
     for case in range(3):
-        db, archive, _, _ = _archive_db(seed + case, backend=backend,
-                                        data_dir=data_dir)
-        middle = archive.chain()[1]
-        order = middle.copy_order()
-        for i in range(min(2, len(order))):
-            middle._rot_cell(order[(case * 7 + i * 3) % len(order)])
-        report = archive.heal_chain()
-        db.media_failure()
-        outcome = db.media_recover_chain(archive.chain())
-        db.close()
-        result.tally(outcome.ok, f"case={case}", [], seed + case, True,
-                     backend=backend)
+        ok, report = _run_archive_bitrot_one(seed, case, backend=backend,
+                                             data_dir=data_dir)
+        result.tally(ok, f"case={case}", [], seed, True, backend=backend)
         healed += len(report.healed)
         quarantined += len(report.quarantined)
     result.detail += f" healed={healed} quarantined={quarantined}"
     return result
+
+
+def _run_archive_bitrot_one(
+    seed: int, case: int, backend: str = "memory",
+    data_dir: Optional[str] = None, tracer=None,
+):
+    """One run: rot the middle generation, heal, restore the chain.
+    Returns ``(ok, heal report)``."""
+    db, archive, _, _ = _archive_db(seed + case, backend=backend,
+                                    data_dir=data_dir, tracer=tracer)
+    middle = archive.chain()[1]
+    order = middle.copy_order()
+    for i in range(min(2, len(order))):
+        middle._rot_cell(order[(case * 7 + i * 3) % len(order)])
+    report = archive.heal_chain()
+    db.media_failure()
+    outcome = db.media_recover_chain(archive.chain())
+    db.close()
+    return outcome.ok, report
 
 
 def _archive_compaction_crash_scenario(
@@ -783,48 +812,55 @@ def _archive_compaction_crash_scenario(
     old chain must still restore, and a retried compaction must collapse
     the chain to one generation that also restores.
     """
-    from repro.archive.manager import ArchiveManager
-
     result = ScenarioResult("archive-compaction-crash" + _on(backend))
     # 160 pages -> the merged overlay spans 3 bulk-record batches, so
     # the crash lands at the start, middle, and end of the build.
     for at_io in (1, 2, 3):
-        db, archive, _, _ = _archive_db(seed, pages=160, backend=backend,
-                                        data_dir=data_dir)
-        before_ids = list(archive.manifest.generation_ids())
         spec = FaultSpec(FaultKind.CRASH,
                          point=IOPoint.BACKUP_BULK_RECORD, at_io=at_io)
-        db.attach_faults(FaultPlane([spec]))
-        crashed = False
-        try:
-            archive.compact()
-        except SimulatedCrash:
-            crashed = True
-        db.crash()
-        crash_ok = db.recover().ok
-        # Simulated process restart: a fresh manager over the same
-        # manifest store must come up on the old, untouched chain.
-        reborn = ArchiveManager(db, manifest_store=archive.store)
-        old_chain_intact = (
-            crashed
-            and archive.store.load_journal() is None
-            and list(reborn.manifest.generation_ids()) == before_ids
+        ok, db = _run_archive_compaction_crash_one(
+            spec, seed, backend=backend, data_dir=data_dir
         )
-        db.media_failure()
-        restore_ok = db.media_recover_chain(reborn.chain()).ok
-        reborn.compact()
-        retry_ok = len(reborn.chain()) == 1
-        db.media_failure()
-        retry_ok = retry_ok and db.media_recover_chain(reborn.chain()).ok
-        db.close()
-        result.total += 1
-        if crash_ok and old_chain_intact and restore_ok and retry_ok:
-            result.recovered += 1
-        else:
-            result.record_failure(f"at_io={at_io}", [spec], seed, True,
-                                  backend=backend)
+        result.tally(ok, f"at_io={at_io}", [spec], seed, True,
+                     backend=backend)
         result.faults_injected += db.faults.injected_total
     return result
+
+
+def _run_archive_compaction_crash_one(
+    spec: FaultSpec, seed: int, backend: str = "memory",
+    data_dir: Optional[str] = None, tracer=None,
+) -> Tuple[bool, Database]:
+    """One run: compact under ``spec``'s crash, recover, restore, retry."""
+    from repro.archive.manager import ArchiveManager
+
+    db, archive, _, _ = _archive_db(seed, pages=160, backend=backend,
+                                    data_dir=data_dir, tracer=tracer)
+    before_ids = list(archive.manifest.generation_ids())
+    db.attach_faults(FaultPlane([spec]))
+    crashed = False
+    try:
+        archive.compact()
+    except SimulatedCrash:
+        crashed = True
+    db.crash()
+    crash_ok = db.recover().ok
+    # Simulated process restart: a fresh manager over the same
+    # manifest store must come up on the old, untouched chain.
+    reborn = ArchiveManager(db, manifest_store=archive.store)
+    old_chain_intact = (
+        crashed
+        and archive.store.load_journal() is None
+        and list(reborn.manifest.generation_ids()) == before_ids
+    )
+    db.media_failure()
+    restore_ok = db.media_recover_chain(reborn.chain()).ok
+    reborn.compact()
+    retry_ok = len(reborn.chain()) == 1
+    db.media_failure()
+    retry_ok = retry_ok and db.media_recover_chain(reborn.chain()).ok
+    db.close()
+    return crash_ok and old_chain_intact and restore_ok and retry_ok, db
 
 
 def _archive_pitr_scenario(
@@ -838,38 +874,49 @@ def _archive_pitr_scenario(
     failure, ``restore_to_lsn(cut)`` must reproduce the pre-corruption
     state exactly — no garbage, no post-cut effects.
     """
+    result = ScenarioResult("archive-pitr-precorruption" + _on(backend))
+    for case in range(2):
+        ok, mismatches = _run_archive_pitr_one(seed, case, backend=backend,
+                                               data_dir=data_dir)
+        result.tally(ok, f"case={case} mismatches={mismatches}", [],
+                     seed, True, backend=backend)
+    return result
+
+
+def _run_archive_pitr_one(
+    seed: int, case: int, backend: str = "memory",
+    data_dir: Optional[str] = None, tracer=None,
+) -> Tuple[bool, int]:
+    """One run: corrupt past the cut, restore to it.  Returns ``(ok,
+    pages differing from the pre-corruption state)``."""
     from repro.ids import PageId
     from repro.ops.physical import PhysicalWrite
     from repro.recovery.redo import RedoReplayer
 
-    result = ScenarioResult("archive-pitr-precorruption" + _on(backend))
-    for case in range(2):
-        db, archive, source, rng = _archive_db(seed + case, backend=backend,
-                                               data_dir=data_dir)
-        cut = archive.chain()[1].completion_lsn
-        expected = {}
-        RedoReplayer(initial_value=db.initial_value).replay(
-            db.log.merge_scan(1, cut), expected
-        )
-        garbage = ("!!garbage!!", seed, case)
-        db.execute(PhysicalWrite(PageId(0, 0), garbage), source="intruder")
-        for _ in range(15):
-            db.execute(next(source))
-        db.install_some(4, rng)
-        db.media_failure()
-        outcome = db.restore_to_lsn(cut)
-        state = db.stable.snapshot()
-        mismatches = sum(
-            1 for pid, version in state.items()
-            if version.value != (expected[pid].value if pid in expected
-                                 else db.initial_value)
-        )
-        ok = (outcome.ok and mismatches == 0
-              and state[PageId(0, 0)].value != garbage)
-        db.close()
-        result.tally(ok, f"case={case} mismatches={mismatches}", [],
-                     seed + case, True, backend=backend)
-    return result
+    db, archive, source, rng = _archive_db(seed + case, backend=backend,
+                                           data_dir=data_dir, tracer=tracer)
+    cut = archive.chain()[1].completion_lsn
+    expected = {}
+    RedoReplayer(initial_value=db.initial_value).replay(
+        db.log.merge_scan(1, cut), expected
+    )
+    garbage = ("!!garbage!!", seed, case)
+    db.execute(PhysicalWrite(PageId(0, 0), garbage), source="intruder")
+    for _ in range(15):
+        db.execute(next(source))
+    db.install_some(4, rng)
+    db.media_failure()
+    outcome = db.restore_to_lsn(cut)
+    state = db.stable.snapshot()
+    mismatches = sum(
+        1 for pid, version in state.items()
+        if version.value != (expected[pid].value if pid in expected
+                             else db.initial_value)
+    )
+    ok = (outcome.ok and mismatches == 0
+          and state[PageId(0, 0)].value != garbage)
+    db.close()
+    return ok, mismatches
 
 
 # ------------------------------------------------------------------ the sweep
@@ -1036,26 +1083,65 @@ def capture_failure_trace(case: FailureCase):
         ],
     )
     try:
-        if any(s.kind == FaultKind.BITROT for s in case.specs):
-            spec = case.specs[0]
-            finish = ("media" if spec.point in (
-                IOPoint.BACKUP_RECORD, IOPoint.BACKUP_BULK_RECORD
-            ) else "crash")
-            _run_bitrot_one(spec, case.seed, case.batched, finish,
-                            tracer=tracer, workers=case.workers,
-                            backend=case.backend,
-                            redo_workers=case.redo_workers)
-        else:
-            db = _fresh_db(workers=case.workers,
-                           log_streams=case.log_streams,
-                           backend=case.backend,
-                           redo_workers=case.redo_workers)
-            db.attach_tracer(tracer)
-            db.attach_faults(FaultPlane(list(case.specs)))
-            _drive(db, case.seed, case.batched, workers=case.workers)
+        _replay(case, tracer)
     except Exception as exc:  # a failing case may die outright
         tracer.emit(ev.TRACE_HEADER, error=f"{type(exc).__name__}: {exc}")
     return tracer.events
+
+
+def _label_value(label: str, key: str) -> int:
+    """The integer ``key=value`` token of a run label."""
+    return int(dict(token.split("=", 1) for token in label.split())[key])
+
+
+def _replay(case: FailureCase, tracer) -> None:
+    """Re-run ``case`` through its scenario's run body with ``tracer``.
+
+    Dispatches on the scenario name: each scenario family has one run
+    body, and the case's fields (plus the ``key=value`` run label) are
+    exactly that body's arguments.
+    """
+    name = case.scenario
+    if name.startswith("instant-restore-"):
+        eager = "lazy-drain" not in name
+        rot, traffic = _INSTANT_CASES[case.label]
+        _run_instant_one(
+            case.seed, case.batched, rot=rot, traffic=traffic or not eager,
+            workers=case.workers, backend=case.backend,
+            executor="process" if name.endswith("-process") else "thread",
+            eager=eager, tracer=tracer,
+        )
+    elif name.startswith("bitrot-logtail-after-recovery"):
+        _run_logtail_after_recovery_one(
+            case.specs[0], case.seed, _label_value(case.label, "extra"),
+            case.log_streams, backend=case.backend, tracer=tracer,
+        )
+    elif name.startswith("archive-chain-bitrot-middle"):
+        _run_archive_bitrot_one(case.seed, _label_value(case.label, "case"),
+                                backend=case.backend, tracer=tracer)
+    elif name.startswith("archive-compaction-crash"):
+        _run_archive_compaction_crash_one(
+            case.specs[0], case.seed, backend=case.backend, tracer=tracer
+        )
+    elif name.startswith("archive-pitr-precorruption"):
+        _run_archive_pitr_one(case.seed, _label_value(case.label, "case"),
+                              backend=case.backend, tracer=tracer)
+    elif "bitrot-" in name:
+        spec = case.specs[0]
+        finish = ("media" if spec.point in (
+            IOPoint.BACKUP_RECORD, IOPoint.BACKUP_BULK_RECORD
+        ) else "crash")
+        _run_bitrot_one(spec, case.seed, case.batched, finish,
+                        tracer=tracer, workers=case.workers,
+                        backend=case.backend,
+                        redo_workers=case.redo_workers)
+    else:
+        # transient, torn-*, crash-sweep, seeded-mix: one armed plane
+        # over the standard drive.
+        _run_one(list(case.specs), case.seed, case.batched,
+                 workers=case.workers, log_streams=case.log_streams,
+                 backend=case.backend, redo_workers=case.redo_workers,
+                 tracer=tracer)
 
 
 def dump_failure_traces(

@@ -18,15 +18,17 @@ The pieces:
   (``pages_done``) report progress.  A page is restored exactly once, no
   matter which path gets there first.
 * **Demand-driven redo evaluator** (on-demand restores only) — the
-  media-log slice (``log.merge_scan(scan_start, target)``, snapshotted
-  at begin) is indexed by writer page.  Each record's *effect* (which
-  stale pages it rewrote, with what versions) is memoized on first
-  demand; a page's final version walks its writer list backwards through
-  memoized effects.  Logical multi-page operations make effects
+  media-log slice ``[scan_start, target]`` is read from the log's
+  writer index by LSN (:meth:`~repro.wal.log_manager.LogManager.writers`,
+  bounded by ``target``), so :meth:`RestoreManager.begin` reads nothing
+  from the log.  Each record's *effect* (which stale pages it rewrote,
+  with what versions) is memoized by LSN on first demand; a page's
+  final version walks its writer list backwards through memoized
+  effects.  Logical multi-page operations make effects
   interdependent (a record's staleness and reads depend on earlier
   writers of its write- and read-set), so effects are resolved with an
   explicit iterative work stack — no recursion, dependencies are
-  strictly earlier slice indices.  Each effect is one call of the shared
+  strictly earlier LSNs.  Each effect is one call of the shared
   redo kernel (:func:`~repro.recovery.redo.apply_record`) — the
   evaluator is its third *scheduler*, demand-driven where
   :class:`~repro.recovery.redo.RedoReplayer` is LSN-ordered — handed the
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left
 from contextlib import nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -85,7 +86,8 @@ from repro.recovery.redo import apply_record
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
-from repro.wal.log_manager import LogManager
+from repro.wal.log_manager import LogManager, bisect_lsn
+from repro.wal.records import LogRecord
 
 __all__ = ["RestoreManager", "RestoredBitmap"]
 
@@ -156,21 +158,33 @@ class _SliceEvaluator:
     """Demand-driven, memoized redo over one media-log slice.
 
     The third scheduler of the redo kernel, serving single-page restores
-    (traffic and the eager pool): ``_effects[i]`` memoizes what
-    :func:`~repro.recovery.redo.apply_record` returns for record ``i``
-    given the versions it would observe in LSN order — ``None`` when the
-    record is skipped (no stale write-set page at its turn), else the
-    ``{page: version}`` mapping it installs.
+    (traffic and the eager pool): ``_effects[lsn]`` memoizes what
+    :func:`~repro.recovery.redo.apply_record` returns for the record at
+    ``lsn`` given the versions it would observe in LSN order — ``None``
+    when the record is skipped (no stale write-set page at its turn),
+    else the ``{page: version}`` mapping it installs.
+
+    Nothing is read up front: a page's potential writers (records with
+    the page in their writeset; whether one actually wrote depends on
+    its memoized effect) come from the log's writer index
+    (:meth:`~repro.wal.log_manager.LogManager.writers`), bounded to the
+    slice ``[scan_start, end]`` — records traffic appends mid-restore
+    land above ``end`` and never replay — and cached per page on first
+    use.
     """
 
     def __init__(
         self,
-        records: Sequence,
+        log: LogManager,
+        scan_start: LSN,
+        end: LSN,
         base: Dict[PageId, PageVersion],
         initial_value: Any,
         fetch,
     ):
-        self._records = records
+        self._log = log
+        self._scan_start = scan_start
+        self._end = end
         self._base = base
         # Lazily pulls a page's backup copy into ``base`` the first time
         # the slice consults it (the single-page-read cost model); pages
@@ -178,17 +192,20 @@ class _SliceEvaluator:
         self._fetch = fetch
         self._fetched: Set[PageId] = set()
         self._initial_value = initial_value
-        # page -> ascending slice indices of records with the page in
-        # their writeset (potential writers; whether one actually wrote
-        # depends on its memoized effect).
-        self._writers: Dict[PageId, List[int]] = {}
-        for i, record in enumerate(self._records):
-            for page in record.op.writeset:
-                self._writers.setdefault(page, []).append(i)
-        self._effects: Dict[int, Optional[Dict[PageId, PageVersion]]] = {}
+        self._writers: Dict[PageId, List[LogRecord]] = {}
+        self._effects: Dict[LSN, Optional[Dict[PageId, PageVersion]]] = {}
         # Set once any memoized effect came from a raising transform:
         # besides quarantine seeds, the only way POISON enters a page.
         self.raised = False
+
+    def _writers_of(self, page: PageId) -> List[LogRecord]:
+        """The page's writers in the slice, ascending LSN (cached)."""
+        writers = self._writers.get(page)
+        if writers is None:
+            writers = self._writers[page] = self._log.writers(
+                page, self._scan_start, self._end
+            )
+        return writers
 
     # ------------------------------------------------------------ versions
 
@@ -204,92 +221,89 @@ class _SliceEvaluator:
             return PageVersion(self._initial_value, NULL_LSN)
         return version
 
-    def _version_before(self, page: PageId, index: int) -> PageVersion:
-        """The page's version as record ``index`` would observe it.
+    def _version_before(self, page: PageId, lsn: LSN) -> PageVersion:
+        """The page's version as the record at ``lsn`` would observe it.
 
         Requires the effects of every writer that must be consulted to
         already be memoized (guaranteed after :meth:`_ensure_effect` on
-        ``index``'s dependencies).
+        the record's dependencies).
         """
-        writers = self._writers.get(page)
-        if writers:
-            pos = bisect_left(writers, index) - 1
-            while pos >= 0:
-                effect = self._effects[writers[pos]]
-                if effect is not None:
-                    version = effect.get(page)
-                    if version is not None:
-                        return version
-                pos -= 1
+        writers = self._writers_of(page)
+        pos = bisect_lsn(writers, lsn) - 1
+        while pos >= 0:
+            effect = self._effects[writers[pos].lsn]
+            if effect is not None:
+                version = effect.get(page)
+                if version is not None:
+                    return version
+            pos -= 1
         return self._base_version(page)
 
     def final_version(self, page: PageId) -> PageVersion:
         """The page's version after the whole slice has replayed."""
         self._ensure_writers_resolved(page)
-        return self._version_before(page, len(self._records))
+        return self._version_before(page, self._end + 1)
 
     # ------------------------------------------------------------- effects
 
-    def _missing_deps(self, index: int) -> List[int]:
-        """Uncomputed earlier effects record ``index`` depends on.
+    def _missing_deps(self, record: LogRecord) -> List[LogRecord]:
+        """Uncomputed earlier effects ``record`` depends on.
 
         For each page the record writes or reads, walk its writer list
-        backwards from ``index``: the first writer whose effect is
+        backwards from the record: the first writer whose effect is
         unknown blocks resolution for that page (an earlier writer only
         matters if every later one provably skipped or did not write the
         page, which requires their effects).
         """
-        record = self._records[index]
         op = record.op
         effects = self._effects
-        missing: List[int] = []
+        missing: List[LogRecord] = []
         for page in list(op.writeset) + list(op.readset):
-            writers = self._writers.get(page)
-            if not writers:
-                continue
-            pos = bisect_left(writers, index) - 1
+            writers = self._writers_of(page)
+            pos = bisect_lsn(writers, record.lsn) - 1
             while pos >= 0:
-                j = writers[pos]
-                effect = effects.get(j, _UNSET)
+                writer = writers[pos]
+                effect = effects.get(writer.lsn, _UNSET)
                 if effect is _UNSET:
-                    missing.append(j)
+                    missing.append(writer)
                     break
                 if effect is not None and page in effect:
                     break
                 pos -= 1
         return missing
 
-    def _ensure_effect(self, index: int) -> None:
-        """Memoize record ``index``'s effect (iterative, no recursion).
+    def _ensure_effect(self, record: LogRecord) -> None:
+        """Memoize ``record``'s effect (iterative, no recursion).
 
-        The work stack revisits an index after its newly discovered
-        dependencies resolve; every dependency is a strictly earlier
-        index, so the computation terminates, and each record's effect
-        is computed exactly once.
+        The work stack revisits a record after its newly discovered
+        dependencies resolve; every dependency has a strictly smaller
+        LSN, so the computation terminates, and each record's effect is
+        computed exactly once.
         """
-        if index in self._effects:
-            return
-        stack = [index]
         effects = self._effects
+        if record.lsn in effects:
+            return
+        stack = [record]
         while stack:
-            i = stack[-1]
-            if i in effects:
+            top = stack[-1]
+            if top.lsn in effects:
                 stack.pop()
                 continue
-            todo = [j for j in self._missing_deps(i) if j not in effects]
+            todo = [dep for dep in self._missing_deps(top)
+                    if dep.lsn not in effects]
             if todo:
                 stack.extend(todo)
                 continue
-            effects[i] = self._compute_effect(i)
+            effects[top.lsn] = self._compute_effect(top)
             stack.pop()
 
     def _compute_effect(
-        self, index: int
+        self, record: LogRecord
     ) -> Optional[Dict[PageId, PageVersion]]:
-        """Record ``index``'s effect, with all dependencies memoized."""
-        record = self._records[index]
+        """``record``'s effect, with all dependencies memoized."""
+        lsn = record.lsn
         outcome = apply_record(
-            record, lambda page: self._version_before(page, index)
+            record, lambda page: self._version_before(page, lsn)
         )
         if outcome is None:
             return None
@@ -298,24 +312,18 @@ class _SliceEvaluator:
 
     def _ensure_writers_resolved(self, page: PageId) -> None:
         """Memoize the effects :meth:`_version_before` will consult."""
-        writers = self._writers.get(page)
-        if not writers:
-            return
-        pos = len(writers) - 1
-        while pos >= 0:
-            j = writers[pos]
-            self._ensure_effect(j)
-            effect = self._effects[j]
+        for writer in reversed(self._writers_of(page)):
+            self._ensure_effect(writer)
+            effect = self._effects[writer.lsn]
             if effect is not None and page in effect:
                 return
-            pos -= 1
 
 
 class RestoreManager:
     """Coordinates one instant media restore.
 
-    Lifecycle: construct → :meth:`begin` (select generation, snapshot
-    the media-log slice, re-format stable) → traffic flows through the
+    Lifecycle: construct → :meth:`begin` (select generation, bound the
+    media-log slice, re-format stable) → traffic flows through the
     cache manager's ``restore_hook`` (:meth:`ensure_restored`) while
     :meth:`start_background` works through partitions → :meth:`drain`
     completes everything outstanding and returns a
@@ -364,7 +372,9 @@ class RestoreManager:
         self.target: Optional[LSN] = None
         self.quarantine_seed: List[PageId] = []
         self._seeds: Set[PageId] = set()
-        self._records: List = []
+        # The media-log slice as (first, last) LSN; its records are read
+        # from the live log when needed, never copied at begin.
+        self._slice: Optional[Tuple[LSN, LSN]] = None
         self._evaluator: Optional[_SliceEvaluator] = None
         self._pool = None
         self._span_pool = None
@@ -377,11 +387,12 @@ class RestoreManager:
     # ---------------------------------------------------------------- begin
 
     def begin(self) -> "RestoreManager":
-        """Select the generation, snapshot the log slice, format stable.
+        """Select the generation, bound the log slice, format stable.
 
         After this every page is marked not-yet-restored and the stable
         store is readable again (formatted to the initial value); the
         cache manager's hook lazily fills pages as traffic touches them.
+        Nothing is read from the log here.
         """
         if self._began:
             return self
@@ -391,10 +402,11 @@ class RestoreManager:
             self.tracer, self.metrics,
         )
         self._seeds = set(self.quarantine_seed)
-        # Snapshot the media-log slice now: traffic served mid-restore
-        # appends records beyond the target, which must not replay.
-        self._records = records = list(
-            self.log.merge_scan(self.chosen.media_scan_start_lsn, self.target)
+        # Bound the slice now (an O(1) check that it is still retained):
+        # traffic served mid-restore appends records above its end,
+        # which must not replay.
+        self._slice = first, last = self.log.retained_range(
+            self.chosen.media_scan_start_lsn, self.target
         )
         # Quarantine seeds sit in the base as POISON from the start, so
         # the evaluator never fetches their damaged cells; everything
@@ -402,7 +414,7 @@ class RestoreManager:
         # verified read.
         self._base = poison_seeds(self.quarantine_seed)
         self._evaluator = _SliceEvaluator(
-            records, self._base, self.initial_value,
+            self.log, first, last, self._base, self.initial_value,
             fetch=self.chosen.read_page,
         )
         with self._io_guard():
@@ -415,7 +427,7 @@ class RestoreManager:
             self.tracer.emit(
                 RESTORE_PROGRESS, phase="begin",
                 backup_id=self.chosen.backup_id, target_lsn=self.target,
-                records=len(records),
+                records=max(0, last - first + 1),
                 quarantine_seeds=len(self.quarantine_seed),
             )
         return self
@@ -511,7 +523,12 @@ class RestoreManager:
             # off the manager lock, so on-demand traffic is never
             # blocked, and every subsequent per-page restore becomes a
             # memo lookup.  drain() joins this future with the others.
-            self._futures.append(self._pool.submit(self._prime_effects))
+            # The slice is taken here, on the caller's thread, so pool
+            # threads read the log only through its writer index.
+            records = list(self.log.merge_scan(*self._slice))
+            self._futures.append(
+                self._pool.submit(self._prime_effects, records)
+            )
 
     @staticmethod
     def _make_process_pool(workers: int):
@@ -579,11 +596,11 @@ class RestoreManager:
 
     # ------------------------------------------------------------- parallel
 
-    def _prime_effects(self) -> None:
+    def _prime_effects(self, records: List[LogRecord]) -> None:
         """Batch-compute every record effect on the parallel replayer.
 
         The eager pool's companion when ``redo_workers > 1``: the whole
-        media-log slice is replayed once by
+        media-log slice (``records``) is replayed once by
         :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer` over
         the chosen generation, off the manager lock; the per-record
         effects (what the evaluator would memoize record by record —
@@ -612,12 +629,12 @@ class RestoreManager:
             base=self.chosen.read_page,
         )
         stats, computed = replayer.replay_with_effects(
-            self._records, poison_seeds(self.quarantine_seed)
+            records, poison_seeds(self.quarantine_seed)
         )
         with self._lock:
             evaluator.raised |= bool(stats.poisoned)
-            for index, effect in enumerate(computed):
-                evaluator._effects.setdefault(index, effect)
+            for record, effect in zip(records, computed):
+                evaluator._effects.setdefault(record.lsn, effect)
             if carrier is not None:
                 self.metrics.absorb(carrier)
 
@@ -628,9 +645,10 @@ class RestoreManager:
 
         Joins the background pool, then does what offline media recovery
         does, restricted to the pages not restored yet: one LSN-order
-        replay of the slice snapshotted at :meth:`begin` over the chosen
-        generation — so ``state``, ``replayed`` and ``skipped`` are the
-        offline ones by construction — the shared pipeline's verdict
+        replay of the slice bounded at :meth:`begin` (read from the log
+        now, with ``merge_scan``) over the chosen generation — so
+        ``state``, ``replayed`` and ``skipped`` are the offline ones by
+        construction — the shared pipeline's verdict
         (quarantine bookkeeping and oracle diffs included), and
         :meth:`_install_unrestored`.
         """
@@ -658,7 +676,8 @@ class RestoreManager:
                 base=self.chosen.read_page,
             )
             with tracer.span("recovery.instant.redo"):
-                stats = replayer.replay(self._records, state)
+                stats = replayer.replay(self.log.merge_scan(*self._slice),
+                                        state)
             with tracer.span("recovery.instant.classify"):
                 outcome = conclude_recovery(
                     "instant", state, stats, bool(self.quarantine_seed),

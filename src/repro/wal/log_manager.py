@@ -13,7 +13,10 @@ Responsibilities:
 Statistics (``count`` / ``bytes_logged`` / ``iwof_count``) are served
 from incremental per-flag / per-kind counters (:class:`LogStats`)
 maintained at append and adjusted by truncation, tail repair and crash
-discards — whole-log queries are O(1) instead of a rescan.
+discards — whole-log queries are O(1) instead of a rescan.  The
+per-page writer index behind :meth:`LogManager.writers` is maintained
+at the same sites: every record enters the retained log through
+``_admit`` and leaves it through ``_evict``, which update both.
 
 Recovery consumes the log through :meth:`merge_scan` /
 :meth:`durable_merge_scan`: on this single-stream manager they are the
@@ -29,9 +32,12 @@ and redo, and every logged operation is treated as committed.
 
 from __future__ import annotations
 
+import threading
 import time
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import LogTruncatedError, WALViolationError
 from repro.ids import LSN, NULL_LSN, PageId
@@ -44,6 +50,26 @@ from repro.wal.records import LogRecord, RecordFlag
 _record_checksum = None
 
 _crc_of = attrgetter("crc")
+_lsn_of = attrgetter("lsn")
+# Most records carry no flag; one identity test against the canonical
+# member skips two enum Flag operations (~0.8 us each) per record.
+_NO_FLAGS = RecordFlag.NONE
+
+
+def bisect_lsn(records: Sequence[LogRecord], lsn: LSN) -> int:
+    """Position of the first record with ``record.lsn >= lsn``.
+
+    ``records`` must be in ascending LSN order (``bisect_left`` keyed by
+    LSN; spelled out because ``bisect``'s ``key=`` needs Python 3.10).
+    """
+    lo, hi = 0, len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].lsn < lsn:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class LogStats:
@@ -72,11 +98,12 @@ class LogStats:
         size = record.size_bytes
         self.records += 1
         self.bytes += size
-        if record.is_iwof:
-            self.iwof_records += 1
-            self.iwof_bytes += size
-        if record.is_cm_injected:
-            self.cm_injected += 1
+        if record.flags is not _NO_FLAGS:
+            if record.is_iwof:
+                self.iwof_records += 1
+                self.iwof_bytes += size
+            if record.is_cm_injected:
+                self.cm_injected += 1
         kind = record.kind.value
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
@@ -85,11 +112,12 @@ class LogStats:
         size = record.size_bytes
         self.records -= 1
         self.bytes -= size
-        if record.is_iwof:
-            self.iwof_records -= 1
-            self.iwof_bytes -= size
-        if record.is_cm_injected:
-            self.cm_injected -= 1
+        if record.flags is not _NO_FLAGS:
+            if record.is_iwof:
+                self.iwof_records -= 1
+                self.iwof_bytes -= size
+            if record.is_cm_injected:
+                self.cm_injected -= 1
         kind = record.kind.value
         self.by_kind[kind] = self.by_kind.get(kind, 0) - 1
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) - size
@@ -148,6 +176,84 @@ class LogManager:
         self.force_delay_s = 0.0
         # Incremental statistics; see LogStats.
         self.stats = LogStats()
+        # The writer index: page -> the retained records whose writeset
+        # holds it, ascending LSN (see writers()).
+        #
+        # Threading contract.  Appends may run while other threads read
+        # the index (the instant-restore pool does), so readers take
+        # ``_index_lock``, as does every eviction.  A single-stream
+        # append only ever extends a list at its tail, which leaves
+        # every position a reader bisected to intact, so it runs
+        # unlocked; a multi-stream append runs under the lock because
+        # concurrent arrivals can be out of LSN order.  Truncation, tail
+        # cuts, crash discards and loading are, as for every other
+        # structure here, not concurrent with appends.
+        self._page_writers: Dict[PageId, List[LogRecord]] = {}
+        self._index_lock = threading.Lock()
+
+    # ---------------------------------------------------- admission/eviction
+
+    def _admit(self, record: LogRecord) -> None:
+        """A record enters the retained log: count it, index its writes.
+
+        Records arrive in LSN order here, so each list grows at its tail
+        (the striped log overrides this with an ordered insert).
+        """
+        self.stats.add(record)
+        index = self._page_writers
+        for page in record.op.writeset:
+            writers = index.get(page)
+            if writers is None:
+                index[page] = [record]
+            else:
+                writers.append(record)
+
+    def _evict(self, records: Sequence[LogRecord]) -> None:
+        """Records leave the retained log: uncount and unindex them.
+
+        Evicted records are always the oldest retained ones (prefix
+        truncation) or the newest (tail cut, crash discard), so each
+        page loses a prefix or a suffix of its writer list — a prefix
+        exactly when its oldest writer is at or above the oldest
+        evicted LSN.
+        """
+        if not records:
+            return
+        self.stats.remove_all(records)
+        counts: Dict[PageId, int] = {}
+        for record in records:
+            for page in record.op.writeset:
+                counts[page] = counts.get(page, 0) + 1
+        oldest = min(map(_lsn_of, records))
+        index = self._page_writers
+        with self._index_lock:
+            for page, n in counts.items():
+                writers = index[page]
+                if n == len(writers):
+                    del index[page]
+                elif writers[0].lsn >= oldest:
+                    del writers[:n]
+                else:
+                    del writers[len(writers) - n:]
+
+    def writers(
+        self, page: PageId, from_lsn: LSN = 1, to_lsn: Optional[LSN] = None
+    ) -> List[LogRecord]:
+        """Retained records whose writeset holds ``page``, in LSN order.
+
+        Restricted to ``from_lsn <= lsn <= to_lsn``; two bisections of
+        the page's writer list, no scan.  Raises like :meth:`scan` when
+        the range starts before the retained prefix.  Safe to call from
+        any thread while appends run (see the contract in ``__init__``).
+        """
+        start, end = self.retained_range(from_lsn, to_lsn)
+        with self._index_lock:
+            writers = self._page_writers.get(page)
+            if not writers:
+                return []
+            return writers[
+                bisect_lsn(writers, start):bisect_lsn(writers, end + 1)
+            ]
 
     # --------------------------------------------------------------- appends
 
@@ -165,7 +271,7 @@ class LogManager:
         record = LogRecord(lsn, op, flags, source)
         record.stream_seq = lsn
         self._records.append(record)
-        self.stats.add(record)
+        self._admit(record)
         device = self.device
         if device is not None:
             device.append(0, record)
@@ -305,7 +411,7 @@ class LogManager:
     def _cut_tail(self, cut_lsn: LSN) -> int:
         """Discard every record from ``cut_lsn`` on; returns how many."""
         removed = self._records[cut_lsn - self._first_lsn:]
-        self.stats.remove_all(removed)
+        self._evict(removed)
         del self._records[cut_lsn - self._first_lsn:]
         return len(removed)
 
@@ -338,7 +444,7 @@ class LogManager:
         lost = self.end_lsn - self._flushed_lsn
         if lost > 0:
             cut = self._flushed_lsn - self._first_lsn + 1
-            self.stats.remove_all(self._records[cut:])
+            self._evict(self._records[cut:])
             del self._records[cut:]
             # The lost LSNs are reused by the next appends, which must
             # not inherit the dropped records' verification.
@@ -384,20 +490,34 @@ class LogManager:
             raise LogTruncatedError(f"no record at LSN {lsn}")
         return self._records[lsn - self._first_lsn]
 
-    def scan(self, from_lsn: LSN = 1, to_lsn: Optional[LSN] = None) -> Iterator[LogRecord]:
-        """Records with ``from_lsn <= lsn <= to_lsn`` in LSN order.
+    def retained_range(
+        self, from_lsn: LSN = 1, to_lsn: Optional[LSN] = None
+    ) -> Tuple[LSN, LSN]:
+        """``[from_lsn, to_lsn]`` clamped to ``[1, end_lsn]``.
 
-        Raises :class:`LogTruncatedError` if the requested range starts
-        before the physically retained prefix — recovery asking for a
-        truncated record is a hard error, never silence.
+        Raises :class:`LogTruncatedError` if the range starts before
+        the physically retained prefix — recovery asking for a truncated
+        record is a hard error, never silence.  O(1); every ranged read
+        (:meth:`scan`, :meth:`merge_scan`, :meth:`writers`) checks here.
         """
         start = max(from_lsn, 1)
         end = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
         if start < self._first_lsn and start <= end:
             raise LogTruncatedError(
-                f"scan from LSN {start} but log is truncated before "
+                f"read from LSN {start} but log is truncated before "
                 f"{self._first_lsn}"
             )
+        return start, end
+
+    def scan(
+        self, from_lsn: LSN = 1, to_lsn: Optional[LSN] = None
+    ) -> Iterator[LogRecord]:
+        """Records with ``from_lsn <= lsn <= to_lsn`` in LSN order.
+
+        Raises :class:`LogTruncatedError` if the requested range starts
+        before the physically retained prefix (:meth:`retained_range`).
+        """
+        start, end = self.retained_range(from_lsn, to_lsn)
         for i in range(start - self._first_lsn, end - self._first_lsn + 1):
             yield self._records[i]
 
@@ -435,7 +555,7 @@ class LogManager:
             return 0
         cut = min(up_to_lsn, self.end_lsn + 1)
         discarded = cut - self._first_lsn
-        self.stats.remove_all(self._records[:discarded])
+        self._evict(self._records[:discarded])
         del self._records[:discarded]
         self._first_lsn = cut
         if self._flushed_lsn < self._first_lsn - 1:

@@ -50,11 +50,10 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import LogTruncatedError
 from repro.ids import LSN, PageId
 from repro.obs.events import LOG_FORCE
 from repro.ops.base import Operation
-from repro.wal.log_manager import LogManager
+from repro.wal.log_manager import LogManager, bisect_lsn
 from repro.wal.records import LogRecord, RecordFlag
 
 
@@ -147,7 +146,9 @@ class MultiLogManager(LogManager):
     lock-free in arrival order and re-sorted lazily before ordered reads
     (appends are timsort-friendly: at most a few positions out of
     order).  Scans, statistics and recovery may only run quiesced (no
-    concurrent appends), exactly like the rest of the simulation.
+    concurrent appends), exactly like the rest of the simulation; the
+    writer index (:meth:`writers`) is the exception, readable from any
+    thread while appends run (the contract is in ``LogManager``).
     """
 
     def __init__(
@@ -224,7 +225,7 @@ class MultiLogManager(LogManager):
         # re-sorted before ordered reads.  list.append is GIL-atomic.
         self._records.append(record)
         self._order_dirty = True
-        self.stats.add(record)
+        self._admit(record)
         if self.auto_force:
             if device is not None:
                 device.sync()
@@ -233,6 +234,23 @@ class MultiLogManager(LogManager):
             for listener in self._append_listeners:
                 listener(record)
         return record
+
+    def _admit(self, record: LogRecord) -> None:
+        """Admit under the index lock, inserting in LSN order: appends on
+        different streams run concurrently and can reach here out of
+        order, and the statistics are shared counters."""
+        lsn = record.lsn
+        with self._index_lock:
+            self.stats.add(record)
+            index = self._page_writers
+            for page in record.op.writeset:
+                writers = index.get(page)
+                if writers is None:
+                    index[page] = [record]
+                elif writers[-1].lsn < lsn:
+                    writers.append(record)
+                else:
+                    writers.insert(bisect_lsn(writers, lsn), record)
 
     def _ensure_order(self) -> None:
         if self._order_dirty:
@@ -371,8 +389,18 @@ class MultiLogManager(LogManager):
     # ------------------------------------------------------------ integrity
 
     # ``repair_tail`` and ``_bitrot`` are the base class's; the two hooks
-    # below select and cut per stream.  Global LSNs are never reused
-    # after a crash, so the verified watermark needs no clamp here.
+    # below select and cut per stream.
+
+    def _reseat_tail(self) -> None:
+        """Resume LSNs right after the surviving log once a tail is cut.
+
+        As on the single-stream log the next append reuses the first
+        lost LSN, so global LSNs stay dense (``end_lsn``, ``record_at``
+        and every scan assume it); the verified watermark must then not
+        cover the reused LSNs.
+        """
+        self._lsn_seq = itertools.count(self.end_lsn + 1)
+        self._verified_lsn = min(self._verified_lsn, self.end_lsn)
 
     def _unverified(self) -> List[LogRecord]:
         """Each stream's records above the verified watermark."""
@@ -388,14 +416,14 @@ class MultiLogManager(LogManager):
         the trustworthy log *globally*: it and everything after it — a
         suffix of each stream — is discarded.
         """
-        dropped = 0
+        removed: List[LogRecord] = []
         for stream in self.streams:
-            removed = stream.drop_after(cut_lsn - 1)
-            self.stats.remove_all(removed)
-            dropped += len(removed)
+            removed += stream.drop_after(cut_lsn - 1)
+        self._evict(removed)
         self._ensure_order()
         del self._records[cut_lsn - self._first_lsn:]
-        return dropped
+        self._reseat_tail()
+        return len(removed)
 
     def discard_unflushed(self) -> int:
         """Crash: lose each stream's unforced suffix.
@@ -407,22 +435,23 @@ class MultiLogManager(LogManager):
         gap-free global prefix.  The cut is always a per-stream suffix.
         """
         frontier = self._flushed_lsn
-        lost = 0
+        lost: List[LogRecord] = []
         per_stream: Dict[str, int] = {}
         for stream in self.streams:
             removed = stream.drop_after(frontier)
             if removed:
-                self.stats.remove_all(removed)
                 per_stream[str(stream.stream_id)] = len(removed)
-                lost += len(removed)
+                lost += removed
         if lost:
+            self._evict(lost)
             self._ensure_order()
             del self._records[frontier - self._first_lsn + 1:]
+            self._reseat_tail()
             if self.device is not None:
                 # The volatile device buffer is lost with the process.
                 self.device.drop_pending()
-            self._emit_tail_lost(lost, per_stream=per_stream)
-        return lost
+            self._emit_tail_lost(len(lost), per_stream=per_stream)
+        return len(lost)
 
     def truncate_prefix(self, up_to_lsn: LSN) -> int:
         """Discard the global prefix below ``up_to_lsn``, per stream.
@@ -435,7 +464,7 @@ class MultiLogManager(LogManager):
         self._ensure_order()
         cut = min(up_to_lsn, self.end_lsn + 1)
         discarded = cut - self._first_lsn
-        self.stats.remove_all(self._records[:discarded])
+        self._evict(self._records[:discarded])
         del self._records[:discarded]
         self._first_lsn = cut
         for stream in self.streams:
@@ -465,13 +494,7 @@ class MultiLogManager(LogManager):
         total order (ascending global LSN); each stream contributes an
         already-ordered run, merged through a heap.
         """
-        start = max(from_lsn, 1)
-        end = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
-        if start < self._first_lsn and start <= end:
-            raise LogTruncatedError(
-                f"scan from LSN {start} but log is truncated before "
-                f"{self._first_lsn}"
-            )
+        start, end = self.retained_range(from_lsn, to_lsn)
         runs = [s.slice(start, end) for s in self.streams]
         return heapq.merge(*runs, key=lambda r: r.lsn)
 

@@ -408,7 +408,7 @@ def load_log(path: str, repair_tail: bool = False) -> LogManager:
                 break  # everything from here on is untrustworthy
             raise
         log._records.append(record)  # noqa: SLF001
-        log.stats.add(record)  # keep incremental statistics consistent
+        log._admit(record)  # noqa: SLF001
     log.force()
     # How many records the file claimed beyond what survived.
     log.tail_repair_dropped = max(0, claimed_flushed - (log.next_lsn - 1))
@@ -480,7 +480,7 @@ def _load_multi(envelope: Dict[str, Any], path: str, repair_tail: bool):
         stream.lsns.append(record.lsn)
         stream.flushed_count = len(stream.records)
         log._records.append(record)  # noqa: SLF001
-        log.stats.add(record)
+        log._admit(record)  # noqa: SLF001
     log._flushed_lsn = log.end_lsn  # noqa: SLF001
     log._lsn_seq = itertools.count(log.end_lsn + 1)  # noqa: SLF001
     log.tail_repair_dropped = max(0, claimed_flushed - log.end_lsn)

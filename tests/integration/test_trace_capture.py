@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import BackupConfig
 from repro.db import Database
+from repro.harness import faultsweep as fs
 from repro.harness.faultsweep import (
     FailureCase,
     ScenarioResult,
@@ -114,6 +115,101 @@ class TestFaultsweepCapture:
         assert case.scenario == "crash-sweep-serial"
         assert not report.results[0].ok
         assert "at_io=6:FAILED" in report.results[0].detail
+
+
+def _events_of(event_kind, **fields):
+    def check(events):
+        return [
+            e for e in events
+            if e.kind == event_kind
+            and all(e.get(k) == v for k, v in fields.items())
+        ]
+    return check
+
+
+#: family -> (scenario run that records failures, events its replay
+#: must carry, how many at least).
+REPLAY_FAMILIES = {
+    "drive": (
+        lambda: fs._crash_sweep_scenario(0, True, stride=10**6),
+        _events_of(ev.FAULT_INJECTED, kind=FaultKind.CRASH), 1,
+    ),
+    "bitrot": (
+        lambda: fs._bitrot_scenarios(0, True, samples=1,
+                                     only=("logtail",))[0],
+        _events_of(ev.FAULT_INJECTED, kind=FaultKind.BITROT), 1,
+    ),
+    "after-recovery": (
+        lambda: fs._logtail_after_recovery_scenario(0, log_streams=4),
+        _events_of(ev.CRASH), 2,
+    ),
+    "instant": (
+        lambda: fs._instant_scenarios(0, True, eager=False),
+        _events_of(ev.RESTORE_PROGRESS, phase="begin"), 1,
+    ),
+    "archive-bitrot": (
+        lambda: fs._archive_bitrot_scenario(0),
+        _events_of(ev.CHAIN_HEAL), 1,
+    ),
+    "archive-compaction": (
+        lambda: fs._archive_compaction_crash_scenario(0),
+        _events_of(ev.COMPACTION), 1,
+    ),
+    "archive-pitr": (
+        lambda: fs._archive_pitr_scenario(0),
+        _events_of(ev.GENERATION_SEALED), 3,
+    ),
+}
+
+
+class TestReplayDispatch:
+    """A failure replays through its own scenario's run body.
+
+    The verdict is forced to "unrecovered" so every family records a
+    case; the replayed trace must then carry that family's events, not
+    a plain workload drive's.
+    """
+
+    @pytest.mark.parametrize("family", sorted(REPLAY_FAMILIES))
+    def test_replay_runs_the_failing_program(self, family, monkeypatch):
+        run, events_of, at_least = REPLAY_FAMILIES[family]
+        tally = ScenarioResult.tally
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ScenarioResult, "tally",
+                lambda self, ok, *case, **fields: tally(
+                    self, False, *case, **fields
+                ),
+            )
+            result = run()
+        case = result.failures[0]
+        events = capture_failure_trace(case)
+        assert not [e for e in events[1:] if e.kind == ev.TRACE_HEADER], (
+            "the replay died"
+        )
+        assert len(events_of(events)) >= at_least
+
+    def test_after_recovery_replay_keeps_its_log_streams(self, monkeypatch):
+        """The multistream case replays on a striped log: its crash
+        discards report per-stream losses only a striped log has."""
+        seen = []
+        real = fs._run_logtail_after_recovery_one
+
+        def spy(*args, **kwargs):
+            ok, db = real(*args, **kwargs)
+            seen.append(db.log.num_streams)
+            return ok, db
+
+        monkeypatch.setattr(fs, "_run_logtail_after_recovery_one", spy)
+        case = FailureCase(
+            scenario="bitrot-logtail-after-recovery-multistream",
+            label="extra=4",
+            specs=(FaultSpec(FaultKind.BITROT, point=IOPoint.LOG_APPEND,
+                             at_io=1, seed=0),),
+            seed=0, batched=True, log_streams=4,
+        )
+        capture_failure_trace(case)
+        assert seen == [4]
 
 
 class TestTraceCli:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 from repro.core.config import BackupConfig
 from repro.db import Database
+from repro.ops.physical import PhysicalWrite
 from repro.storage.page import PageVersion, rot_value
 from repro.workloads import mixed_logical_workload
 
@@ -30,7 +31,8 @@ def _rot(backup, page_id):
     )
 
 
-def _build(seed, rot_sites, backend="memory", data_dir=None, redo_workers=1):
+def _build(seed, rot_sites, backend="memory", data_dir=None, redo_workers=1,
+           log_streams=1):
     """Deterministic workload + interleaved backup; optional backup rot.
 
     ``rot_sites`` is a tuple of copy-order indices to rot in the sealed
@@ -38,7 +40,7 @@ def _build(seed, rot_sites, backend="memory", data_dir=None, redo_workers=1):
     """
     db = Database(pages_per_partition=[12, 12, 12, 12], policy="general",
                   backend=backend, data_dir=data_dir,
-                  redo_workers=redo_workers)
+                  redo_workers=redo_workers, log_streams=log_streams)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=90)
     db.start_backup(BackupConfig(steps=4, batched=True))
@@ -65,9 +67,51 @@ def _key(state):
     return {pid: (v.value, v.page_lsn) for pid, v in state.items()}
 
 
+def _program(db, seed, eager, mid_writes):
+    """The mid-restore traffic, as ("read", pid) / ("write", pid, value).
+
+    Eager: half the pages race the pool.  Lazy: a handful restore on
+    demand and the drain restores everything else in bulk.  With
+    ``mid_writes`` the program first overwrites a page some slice record
+    reads, then reads a page that record writes — the overwrite lands
+    above the restore target in the same writer index and must not leak
+    into the replay — and writes every seventh page between the reads.
+    """
+    order = list(db.layout.all_pages())
+    random.Random(seed + 99).shuffle(order)
+    reads = order[::2] if eager else order[:4]
+    if not mid_writes:
+        return [("read", pid) for pid in reads]
+    program = []
+    start = db.latest_backup().media_scan_start_lsn
+    for record in db.log.merge_scan(start):
+        read_only = record.op.readset - record.op.writeset
+        if read_only:
+            source = min(read_only)
+            program += [("write", source, ("mid", seed, "source")),
+                        ("read", min(record.op.writeset))]
+            break
+    written = set(order[::7])
+    for i, pid in enumerate(reads):
+        if pid in written:
+            program.append(("write", pid, ("mid", seed, i)))
+        program.append(("read", pid))
+    return program
+
+
+def _run(db, program):
+    observed = []
+    for step in program:
+        if step[0] == "write":
+            db.execute(PhysicalWrite(step[1], step[2]))
+        else:
+            observed.append((step[1], db.read(step[1])))
+    return observed
+
+
 def _assert_equivalent(seed, rot_sites, backend="memory",
                        tmp_path=None, executor="thread", eager=True,
-                       redo_workers=1):
+                       redo_workers=1, log_streams=1, mid_writes=False):
     d1 = str(tmp_path / "offline") if tmp_path else None
     d2 = str(tmp_path / "instant") if tmp_path else None
     if d1:
@@ -76,22 +120,19 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
         os.makedirs(d1, exist_ok=True)
         os.makedirs(d2, exist_ok=True)
 
-    offline = _build(seed, rot_sites, backend, d1, redo_workers)
+    offline = _build(seed, rot_sites, backend, d1, redo_workers, log_streams)
+    program = _program(offline, seed, eager, mid_writes)
     offline.media_failure()
     expected_outcome = offline.media_recover()
     expected_snapshot = offline.stable.snapshot()
+    expected_reads = _run(offline, program)
 
-    instant = _build(seed, rot_sites, backend, d2, redo_workers)
+    instant = _build(seed, rot_sites, backend, d2, redo_workers, log_streams)
     oracle = instant.oracle.state()
     initial = instant.initial_value
     instant.media_failure()
     instant.begin_instant_restore(workers=3, executor=executor, eager=eager)
-    order = list(instant.layout.all_pages())
-    random.Random(seed + 99).shuffle(order)
-    # Eager: half the pages race the pool.  Lazy: a handful restore on
-    # demand and the drain restores everything else in bulk.
-    reads = order[::2] if eager else order[:4]
-    observed = {pid: instant.read(pid) for pid in reads}
+    observed = _run(instant, program)
     outcome = instant.finish_instant_restore()
 
     assert instant.stable.snapshot() == expected_snapshot
@@ -101,11 +142,18 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
     assert outcome.poisoned == expected_outcome.poisoned
     assert outcome.quarantined == expected_outcome.quarantined
     assert outcome.ok == expected_outcome.ok
-    # Every mid-restore read saw exactly the recovered value.
+    # Every mid-restore read saw what the offline twin reads after the
+    # same traffic; with no writes, that is the recovered value.
+    assert observed == expected_reads
     quarantined = set(outcome.quarantined)
-    for pid, value in observed.items():
+    for pid, value in observed if not mid_writes else ():
         want = initial if pid in quarantined else oracle.get(pid, initial)
         assert value == want, f"mid-restore read of {pid} saw {value!r}"
+    if mid_writes:
+        # And once flushed, the written pages too.
+        offline.checkpoint()
+        instant.checkpoint()
+        assert instant.stable.snapshot() == offline.stable.snapshot()
     offline.close()
     instant.close()
 
@@ -151,6 +199,39 @@ class TestDrainModesEquivalence:
     ):
         _assert_equivalent(seed, rot_sites, eager=eager,
                            redo_workers=redo_workers)
+
+
+class TestStripedLogEquivalence:
+    """A four-stream log: the writer index is fed out of stream order."""
+
+    @pytest.mark.parametrize("eager,redo_workers", [(True, 1)] + DRAIN_MODES)
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_clean_runs_equivalent(self, eager, redo_workers, seed):
+        _assert_equivalent(seed, (), eager=eager, redo_workers=redo_workers,
+                           log_streams=4)
+
+
+class TestMidRestoreWritesEquivalence:
+    """Traffic writes between begin and finish append records above the
+    restore target to the same per-page writer lists the evaluator
+    reads; with the eager pool on a four-stream log, pool threads read
+    the index while the caller's thread appends to it."""
+
+    @pytest.mark.parametrize("eager,log_streams", [
+        (False, 1), (True, 1), (False, 4), (True, 4),
+    ])
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_mid_restore_writes_equivalent(self, eager, log_streams, seed):
+        _assert_equivalent(seed, (), eager=eager, log_streams=log_streams,
+                           mid_writes=True)
+
+    @given(st.integers(0, 10_000), st.tuples(st.integers(0, 47)))
+    @settings(max_examples=8, deadline=None)
+    def test_mid_restore_writes_with_rotted_backup(self, seed, rot_sites):
+        _assert_equivalent(seed, rot_sites, eager=True, log_streams=4,
+                           redo_workers=4, mid_writes=True)
 
 
 class TestInstantEquivalenceFileBackend:

@@ -160,12 +160,11 @@ def test_appends_resume_densely_after_crash():
     log.discard_unflushed()
     end = log.end_lsn
     record = log.append(W(0, 0))
-    # A fresh LSN never reuses a lost one out of order with the counter:
-    # the counter is monotone, so the new record sorts after everything.
-    assert record.lsn > end
-    assert [r.lsn for r in log.merge_scan()] == sorted(
-        r.lsn for r in log.merge_scan()
-    )
+    # The next append takes the first lost LSN, as on the single-stream
+    # log, so the retained log stays a dense prefix every scan sees.
+    assert record.lsn == end + 1
+    assert [r.lsn for r in log.merge_scan()] == list(range(1, end + 2))
+    assert log.record_at(end + 1) is record
 
 
 def test_repair_tail_cuts_all_streams_at_first_damage():
