@@ -53,7 +53,6 @@ True
 """
 
 from repro.archive import ArchiveManager, ChainHealReport
-from repro.core.backup_engine import ParallelBackupEngine
 from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import (
@@ -98,7 +97,6 @@ __all__ = [
     # The system
     "Database",
     "BackupConfig",
-    "ParallelBackupEngine",
     "RecoveryOutcome",
     "PageId",
     "LSN",

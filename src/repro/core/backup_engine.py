@@ -15,14 +15,15 @@ run either (a) treats it as Done — forcing Iw/oF (conservative), or
 the frontier has yet to reach it.
 
 Section 3.4 observes that disjoint partitions with partition-local D/P
-bounds "permit us to back up partitions in parallel".
-:class:`ParallelBackupRun` realizes that: planning (and every D/P move)
-stays on the coordinating thread, the planned span *reads* fan out to a
-``concurrent.futures.ThreadPoolExecutor`` taking the per-partition latch
-shared, and the span *records* into B happen back on the coordinator in
-plan order — so a parallel sweep produces a byte-identical sealed backup
-to the serial batched sweep while overlapping the per-span device time of
-independent partitions (and, on multi-core hosts, their CRC work).
+bounds "permit us to back up partitions in parallel".  A run with
+``workers > 1`` realizes that: planning (and every D/P move) stays on the
+calling thread, the planned span *reads* of one ``copy_some`` fan out to
+a ``concurrent.futures.ThreadPoolExecutor`` taking the per-partition
+latch shared, and the span *records* into B happen back on the calling
+thread in plan order — so a parallel sweep produces a byte-identical
+sealed backup to the inline one while overlapping the per-span device
+time of independent partitions (and, on multi-core hosts, their CRC
+work).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class BackupRun:
         update_set: Optional[Set[PageId]] = None,
         dynamic_extend: bool = True,
         batched: bool = True,
+        workers: int = 1,
     ):
         self.cm = cm
         self.backup = backup
@@ -63,6 +65,9 @@ class BackupRun:
         # strict round-robin order.  Both produce the same backup content
         # (only the copy *order* differs within a single copy_some call).
         self.batched = batched
+        # Span-read threads for the batched path; 1 reads inline.
+        self.workers = workers
+        self._pool: Optional[ThreadPoolExecutor] = None
         # None means full backup: copy everything.
         self.copy_set: Optional[Set[PageId]] = (
             set(update_set) if update_set is not None else None
@@ -209,6 +214,16 @@ class BackupRun:
         stable read and one bulk backup record per span.  No cache
         manager activity can interleave inside a single call, so the
         resulting backup content is identical to the serial path's.
+
+        With ``workers == 1`` each span is read inline just before it is
+        recorded.  With more, every span read is submitted to the thread
+        pool up front (each worker accumulates I/O-retry accounting into
+        a private metrics shard, absorbed deterministically), and the
+        records still happen here, in plan order, so the sealed image is
+        byte-identical.  A fault raised inside a worker propagates
+        through ``future.result()``; the remaining reads are cancelled
+        and awaited first, so no worker touches the stores while the
+        caller unwinds into crash recovery.
         """
         spans: List[tuple] = []
         if self.copy_set is None:
@@ -217,21 +232,61 @@ class BackupRun:
             copied = self._plan_filtered(pages, spans)
         if not spans:
             return copied
-        stable = self.cm.stable
         metrics = self.cm.metrics
-        for partition, start, stop in spans:
-            entries = with_retries(
-                lambda: stable.read_pages(
-                    [PageId(partition, slot) for slot in range(start, stop)]
-                ),
-                metrics=metrics,
-            )
-            self._record_span(entries)
-            metrics.backup_pages_copied += stop - start
-            metrics.backup_bulk_reads += 1
+        if self.workers == 1:
+            for span in spans:
+                self._record_span(span, self._bulk_read(span, metrics))
+            return copied
+        pool = self._ensure_pool()
+        shards = [metrics.shard() for _ in spans]
+        futures = [
+            pool.submit(self._bulk_read_shared, span, shard)
+            for span, shard in zip(spans, shards)
+        ]
+        try:
+            for span, future in zip(spans, futures):
+                self._record_span(span, future.result())
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            futures_wait(futures)
+            raise
+        finally:
+            for shard in shards:
+                metrics.absorb(shard)
         return copied
 
-    def _record_span(self, entries) -> None:
+    def _bulk_read(self, span, metrics):
+        partition, start, stop = span
+        stable = self.cm.stable
+        return with_retries(
+            lambda: stable.read_pages(
+                [PageId(partition, slot) for slot in range(start, stop)]
+            ),
+            metrics=metrics,
+        )
+
+    def _bulk_read_shared(self, span, shard):
+        """Pool-thread body: one span read under the partition's shared
+        latch (coexisting with concurrent flushes, excluded by a D/P
+        move)."""
+        with self.cm.latches[span[0]].shared():
+            return self._bulk_read(span, shard)
+
+    def _ensure_pool(self) -> ThreadPoolExecutor:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix=f"backup-{self.backup.backup_id}",
+            )
+        return self._pool
+
+    def _shutdown_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _record_span(self, span, entries) -> None:
         """Record one bulk span into B, surviving torn span writes.
 
         A torn write lands only a prefix (the device reports how much);
@@ -241,7 +296,8 @@ class BackupRun:
         span the whole span is verified against its integrity envelopes:
         a tear is exactly when a device may have written garbage, so the
         claim "torn spans are detected by checksums" is made true here
-        rather than assumed.
+        rather than assumed.  Then counts the span's pages and its bulk
+        read.
         """
         metrics = self.cm.metrics
         entries = list(entries)
@@ -260,6 +316,8 @@ class BackupRun:
                 torn = True
         if torn:
             self.backup.verify_pages(pid for pid, _ver in entries)
+        metrics.backup_pages_copied += span[2] - span[1]
+        metrics.backup_bulk_reads += 1
 
     def _plan_full(self, budget: int, spans: List[tuple]) -> int:
         """Plan a full-backup batch: round-robin budget split, O(steps).
@@ -389,6 +447,7 @@ class BackupRun:
         """Complete the backup: final D/P reset under the latches."""
         if self._sealed:
             raise BackupError("backup already sealed")
+        self._shutdown_pool()
         if not self.finished_copying:
             raise BackupError("seal() before all pages were copied")
         self.backup.complete(self.cm.log.end_lsn)
@@ -409,6 +468,7 @@ class BackupRun:
         return self.backup
 
     def abort(self) -> None:
+        self._shutdown_pool()
         self.backup.abort()
         for partition in range(self.layout.num_partitions):
             progress = self.cm.progress[partition]
@@ -422,210 +482,6 @@ class BackupRun:
             self.cm.tracer.emit(
                 ev.BACKUP_ABORT, backup_id=self.backup.backup_id
             )
-
-
-class ParallelBackupRun(BackupRun):
-    """A batched sweep whose span reads run on a thread pool.
-
-    The division of labour keeps the paper's protocol — and the backup
-    image — deterministic:
-
-    * **Planning** (``_plan_full`` / ``_plan_filtered``) runs on the
-      coordinating thread, so every D/P advance happens under the
-      exclusive latch in exactly the serial schedule's order.
-    * **Span reads** are submitted to the pool.  Each worker takes the
-      span's partition latch *shared* around its bulk read (coexisting
-      with concurrent flushes, excluded by a D/P move) and accumulates
-      I/O-retry accounting into a private metrics shard.
-    * **Span records** into B are consumed on the coordinating thread in
-      plan order — B's insertion order, and therefore the sealed image
-      and its archive serialization, are byte-identical to the serial
-      batched sweep's.
-
-    Faults raised inside a worker (transients exhaust their retries,
-    crashes, media failures) propagate to the coordinator via
-    ``future.result()``; before re-raising, the remaining span futures
-    are cancelled and awaited so no worker touches the stores while the
-    caller unwinds into crash recovery.  Metric shards are absorbed
-    deterministically on both paths.
-    """
-
-    def __init__(
-        self,
-        cm: "CacheManager",
-        backup: BackupDatabase,
-        steps: int,
-        update_set: Optional[Set[PageId]] = None,
-        dynamic_extend: bool = True,
-        workers: int = 2,
-    ):
-        if workers < 1:
-            raise BackupError("ParallelBackupRun needs workers >= 1")
-        super().__init__(
-            cm,
-            backup,
-            steps,
-            update_set=update_set,
-            dynamic_extend=dynamic_extend,
-            batched=True,
-        )
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix=f"backup-{self.backup.backup_id}",
-            )
-        return self._pool
-
-    def _shutdown_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _read_span(self, span, shard):
-        partition, start, stop = span
-        stable = self.cm.stable
-        with self.cm.latches[partition].shared():
-            return with_retries(
-                lambda: stable.read_pages(
-                    [PageId(partition, slot) for slot in range(start, stop)]
-                ),
-                metrics=shard,
-            )
-
-    def _copy_batched(self, pages: int) -> int:
-        spans: List[tuple] = []
-        if self.copy_set is None:
-            copied = self._plan_full(pages, spans)
-        else:
-            copied = self._plan_filtered(pages, spans)
-        if not spans:
-            return copied
-        pool = self._ensure_pool()
-        metrics = self.cm.metrics
-        tasks = []
-        for span in spans:
-            shard = metrics.shard()
-            tasks.append((span, shard, pool.submit(self._read_span, span, shard)))
-        try:
-            for (partition, start, stop), _shard, future in tasks:
-                entries = future.result()
-                self._record_span(entries)
-                metrics.backup_pages_copied += stop - start
-                metrics.backup_bulk_reads += 1
-        except BaseException:
-            # Quiesce the pool before unwinding: a worker still reading
-            # while the caller runs crash recovery would race the stores.
-            for _span, _shard, future in tasks:
-                future.cancel()
-            futures_wait([task[2] for task in tasks])
-            raise
-        finally:
-            for _span, shard, _future in tasks:
-                metrics.absorb(shard)
-        return copied
-
-    def seal(self) -> BackupDatabase:
-        self._shutdown_pool()
-        return super().seal()
-
-    def abort(self) -> None:
-        self._shutdown_pool()
-        super().abort()
-
-
-class ProcessPoolBackupRun(ParallelBackupRun):
-    """A batched sweep whose span reads run in worker *processes*.
-
-    Requires a file-backed stable database: the coordinator plans spans
-    and captures picklable ``(path, [(slot, offset, length)])`` tasks
-    under the shared partition latch
-    (:meth:`~repro.storage.file_backend.FileStableDatabase.span_task`,
-    which runs the same protocol-boundary checks as ``read_pages``);
-    workers are shared-nothing — they ``pread`` and checksum-verify raw
-    record bytes and return plain data, never exceptions.  Because the
-    page files are append-only, the captured offsets remain a consistent
-    snapshot no matter what is installed concurrently.  Records are
-    consumed on the coordinator in plan order, so the sealed image is
-    byte-identical to the serial and thread-parallel sweeps.
-    """
-
-    def __init__(
-        self,
-        cm: "CacheManager",
-        backup: BackupDatabase,
-        steps: int,
-        update_set: Optional[Set[PageId]] = None,
-        dynamic_extend: bool = True,
-        workers: int = 2,
-    ):
-        super().__init__(
-            cm,
-            backup,
-            steps,
-            update_set=update_set,
-            dynamic_extend=dynamic_extend,
-            workers=workers,
-        )
-        if not hasattr(cm.stable, "span_task"):
-            raise BackupError(
-                "executor='process' requires a file-backed stable database "
-                "(span tasks must be picklable shared-nothing file reads)"
-            )
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platforms without fork
-                ctx = None
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx
-            )
-        return self._pool
-
-    def _submit_span(self, span, pool):
-        from repro.storage.file_backend import read_span_file
-
-        partition, start, stop = span
-        stable = self.cm.stable
-        with self.cm.latches[partition].shared():
-            path, entries = with_retries(
-                lambda: stable.span_task(partition, start, stop),
-                metrics=self.cm.metrics,
-            )
-        return pool.submit(read_span_file, path, entries)
-
-    def _copy_batched(self, pages: int) -> int:
-        spans: List[tuple] = []
-        if self.copy_set is None:
-            copied = self._plan_full(pages, spans)
-        else:
-            copied = self._plan_filtered(pages, spans)
-        if not spans:
-            return copied
-        pool = self._ensure_pool()
-        metrics = self.cm.metrics
-        stable = self.cm.stable
-        tasks = [(span, self._submit_span(span, pool)) for span in spans]
-        try:
-            for (partition, start, stop), future in tasks:
-                rows = future.result()
-                self._record_span(stable.resolve_span(partition, rows))
-                metrics.backup_pages_copied += stop - start
-                metrics.backup_bulk_reads += 1
-        except BaseException:
-            for _span, future in tasks:
-                future.cancel()
-            futures_wait([task[1] for task in tasks])
-            raise
-        return copied
 
 
 class BackupEngine:
@@ -683,16 +539,15 @@ class BackupEngine:
         dynamic_extend: bool = True,
         batched: bool = True,
         workers: int = 1,
-        executor: str = "thread",
     ) -> BackupRun:
         if self.active is not None and not self.active.is_sealed:
             raise BackupInProgressError("a backup is already in progress")
+        if workers < 1:
+            raise BackupError("a backup run needs workers >= 1")
         if workers > 1 and not batched:
             raise BackupError(
                 "parallel sweeps (workers > 1) require batched=True"
             )
-        if executor not in ("thread", "process"):
-            raise BackupError(f"unknown sweep executor {executor!r}")
         scan_start = self.cm.rec.truncation_point(self.cm.log.end_lsn)
         # The scan start may not exceed end_lsn + 1; for media recovery we
         # additionally never scan later than the backup's own start point.
@@ -701,33 +556,15 @@ class BackupEngine:
             scan_start,
             base_backup.backup_id if base_backup is not None else None,
         )
-        if workers > 1 and executor == "process":
-            run: BackupRun = ProcessPoolBackupRun(
-                self.cm,
-                backup,
-                steps,
-                update_set=update_set,
-                dynamic_extend=dynamic_extend,
-                workers=workers,
-            )
-        elif workers > 1:
-            run = ParallelBackupRun(
-                self.cm,
-                backup,
-                steps,
-                update_set=update_set,
-                dynamic_extend=dynamic_extend,
-                workers=workers,
-            )
-        else:
-            run = BackupRun(
-                self.cm,
-                backup,
-                steps,
-                update_set=update_set,
-                dynamic_extend=dynamic_extend,
-                batched=batched,
-            )
+        run = BackupRun(
+            self.cm,
+            backup,
+            steps,
+            update_set=update_set,
+            dynamic_extend=dynamic_extend,
+            batched=batched,
+            workers=workers,
+        )
         self.active = run
         return run
 
@@ -758,40 +595,3 @@ class BackupEngine:
 
     def latest_backup(self) -> Optional[BackupDatabase]:
         return self.completed[-1] if self.completed else None
-
-
-class ParallelBackupEngine(BackupEngine):
-    """A :class:`BackupEngine` whose runs sweep on a thread pool.
-
-    Convenience front for the concurrent subsystem: every
-    :meth:`start_backup` defaults to ``workers`` pool threads (pass
-    ``workers=`` explicitly to override per run, ``workers=1`` for a
-    plain serial run).  ``Database`` routes here automatically when a
-    :class:`~repro.core.config.BackupConfig` carries ``workers > 1``.
-    """
-
-    def __init__(self, cm: "CacheManager", workers: int = 4, storage=None):
-        if workers < 1:
-            raise BackupError("ParallelBackupEngine needs workers >= 1")
-        super().__init__(cm, storage=storage)
-        self.workers = workers
-
-    def start_backup(
-        self,
-        steps: int = 8,
-        update_set: Optional[Set[PageId]] = None,
-        base_backup: Optional[BackupDatabase] = None,
-        dynamic_extend: bool = True,
-        batched: bool = True,
-        workers: Optional[int] = None,
-        executor: str = "thread",
-    ) -> BackupRun:
-        return super().start_backup(
-            steps,
-            update_set=update_set,
-            base_backup=base_backup,
-            dynamic_extend=dynamic_extend,
-            batched=batched,
-            workers=self.workers if workers is None else workers,
-            executor=executor,
-        )

@@ -9,7 +9,7 @@ legacy keyword signatures remain as deprecated aliases.
 
 >>> from repro.core.config import BackupConfig
 >>> BackupConfig(steps=4, batched=False)
-BackupConfig(steps=4, pages_per_tick=8, incremental=False, dynamic_extend=True, batched=False, engine='engine', workers=1, log_streams=1, backend='memory', data_dir=None, executor='thread', incremental_every=None, compact_threshold=None, redo_workers=1)
+BackupConfig(steps=4, pages_per_tick=8, incremental=False, dynamic_extend=True, batched=False, engine='engine', workers=1, log_streams=1, backend='memory', data_dir=None, incremental_every=None, compact_threshold=None, redo_workers=1)
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ ENGINES = ("engine", "naive", "linked")
 
 #: Storage backends (see repro.storage.api.open_backend).
 BACKENDS = ("memory", "file")
-
-#: Sweep executors: threads share the process; the process pool requires
-#: the file backend (span tasks must be picklable shared-nothing reads).
-EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,6 @@ class BackupConfig:
                          :func:`repro.storage.api.open_backend`;
     ``data_dir``       — directory for the file backend's page/log/backup
                          files (default: a fresh temporary directory);
-    ``executor``       — sweep executor for ``workers > 1``:
-                         ``"thread"`` (the PR 5 thread pool) or
-                         ``"process"`` (a ``ProcessPoolExecutor`` over
-                         picklable file-span reads; file backend only);
     ``incremental_every`` — archive-tier scheduling knob
                          (``Database.attach_archive``): take the next
                          incremental generation once this many LSNs
@@ -101,7 +93,6 @@ class BackupConfig:
     log_streams: int = 1
     backend: str = "memory"
     data_dir: Optional[str] = None
-    executor: str = "thread"
     incremental_every: Optional[int] = None
     compact_threshold: Optional[int] = None
     redo_workers: int = 1
@@ -142,17 +133,6 @@ class BackupConfig:
             raise ReproError(
                 "BackupConfig.data_dir is only meaningful with "
                 "backend='file'"
-            )
-        if self.executor not in EXECUTORS:
-            raise ReproError(
-                f"unknown sweep executor {self.executor!r}; choose from "
-                f"{list(EXECUTORS)}"
-            )
-        if self.executor == "process" and self.backend != "file":
-            raise ReproError(
-                "executor='process' requires backend='file': process "
-                "workers read picklable (path, offset) span tasks, which "
-                "only the file backend provides"
             )
         if self.incremental_every is not None and self.incremental_every < 1:
             raise ReproError(

@@ -190,6 +190,9 @@ class Database:
         # The damaged-page count the active instant restore's begin
         # detected (the restore itself is retention.active_restore).
         self._instant_damaged = 0
+        # The generation an instant restore had chosen when a crash
+        # interrupted it; recover() finishes from it as media recovery.
+        self._interrupted_restore: Optional[BackupDatabase] = None
         self.faults: Optional[FaultPlane] = None
         self.tracer = NULL_TRACER
         if tracer is not None:
@@ -313,6 +316,7 @@ class Database:
         """Epilogue of every offline recovery: S now holds the recovered
         state, so the cache restarts cold over it and nothing before
         ``redo_from`` (when given) needs redo again."""
+        self._interrupted_restore = None
         self.cm.reload_after_recovery()
         if redo_from is not None:
             self.cm.stable_truncation_point = redo_from
@@ -404,8 +408,8 @@ class Database:
         copying (see :meth:`BackupRun.copy_some`);
         ``config.workers > 1`` fans the batched span reads out to a
         thread pool (§3.4 partition parallelism; see
-        :class:`~repro.core.backup_engine.ParallelBackupRun` — the
-        sealed image stays byte-identical to the serial sweep's);
+        :class:`~repro.core.backup_engine.BackupRun` — the sealed image
+        stays byte-identical to the inline sweep's);
         ``config.engine="naive"`` starts the §1.2 fuzzy-dump baseline
         instead (``"linked"`` is synchronous — use :meth:`run_backup`).
         """
@@ -437,12 +441,10 @@ class Database:
                 dynamic_extend=cfg.dynamic_extend,
                 batched=cfg.batched,
                 workers=cfg.workers,
-                executor=cfg.executor,
             )
         else:
             run = self.engine.start_backup(
                 steps=cfg.steps, batched=cfg.batched, workers=cfg.workers,
-                executor=cfg.executor,
             )
         self.updated_since_backup = set()
         return run
@@ -583,10 +585,18 @@ class Database:
         """System failure: lose the cache and the unforced log tail.
 
         Returns the number of log records lost.  An active backup is
-        aborted (its partial image is useless after a crash).
+        aborted (its partial image is useless after a crash).  An active
+        instant restore is abandoned — S is still mostly the formatted
+        store, so crash redo from the truncation point cannot rebuild it
+        — and its log pin released; :meth:`recover` finishes it as media
+        recovery from the generation it had chosen.
         """
         lost = self.log.discard_unflushed()
         self.engine.abort_active()
+        restore = self.retention.active_restore
+        if restore is not None:
+            self._interrupted_restore = restore.chosen
+            self.retention.active_restore = None
         self.cm.crash()
         if lost:
             self.oracle.rebuild(self.log)
@@ -614,6 +624,11 @@ class Database:
         one covers the surviving log, rebuild the whole store from the
         log when it still reaches back to LSN 1, and otherwise quarantine
         the unhealable pages on the outcome instead of crashing.
+
+        After a crash that interrupted an instant restore, recovery is
+        that restore's media recovery instead: the chosen generation
+        rolled forward to the log end (traffic served mid-restore is in
+        the log, so it replays too).
         """
         with self._faults_suspended():
             dropped = self.log.repair_tail()
@@ -653,7 +668,15 @@ class Database:
                         pages=[str(p) for p in damaged],
                     )
             oracle = self.oracle.state() if verify else None
-            if problems:
+            restore = self._interrupted_restore
+            if restore is not None:
+                outcome = run_media_recovery(
+                    self.stable, restore, self.log, oracle=oracle,
+                    fallback=self._fallback_generations(restore),
+                    **self._recovery_args(),
+                )
+                self._settle_damage(self._instant_damaged, outcome)
+            elif problems:
                 outcome = self._recover_damaged_stable(problems, oracle)
             elif from_log_only:
                 outcome = run_analyzed_crash_recovery(
@@ -793,9 +816,7 @@ class Database:
         backup: Optional[BackupDatabase] = None,
         to_lsn: Optional[LSN] = None,
         verify: bool = True,
-        eager: bool = True,
-        workers: int = 2,
-        executor: str = "thread",
+        eager: bool = False,
     ) -> RestoreManager:
         """Start an incremental (instant) media restore and resume service.
 
@@ -803,14 +824,23 @@ class Database:
         *begins*: the store is re-formatted, every page is marked
         not-yet-restored, and a restore hook is installed in the cache
         manager so any read or write of an unrestored page restores just
-        that page (backup copy + its media-log slice) on demand.  With
-        ``eager=True`` the remaining partitions restore in the background
-        on ``workers`` pool workers (``executor="process"`` ships span
-        reads to a process pool for file-backed backups).  Call
-        :meth:`finish_instant_restore` to drain and obtain the
-        :class:`RecoveryOutcome` — byte-identical to what
+        that page (backup copy + its media-log slice) on demand.  Call
+        :meth:`finish_instant_restore` to restore the rest in bulk and
+        obtain the :class:`RecoveryOutcome` — byte-identical to what
         :meth:`media_recover` would have produced at the same target.
+
+        ``eager`` is kept only for existing callers: ``eager=False`` (the
+        default) is accepted silently, and ``eager=True`` raises
+        :class:`ReproError` — the eager background pool was removed,
+        because the bulk drain restores what traffic did not touch
+        faster than per-page background restores do.
         """
+        if eager:
+            raise ReproError(
+                "begin_instant_restore(eager=True): the eager background "
+                "restore pool was removed; finish_instant_restore() "
+                "restores the untouched pages in bulk"
+            )
         backup = self._restore_source(backup)
         self._instant_damaged = self._count_damage([backup])
         manager = RestoreManager(
@@ -834,8 +864,6 @@ class Database:
         # Held by the retention, which pins the media-log slice until the
         # drain returns: the restore reads it from the live log.
         self.retention.active_restore = manager
-        if eager:
-            manager.start_background(workers=workers, executor=executor)
         return manager
 
     def finish_instant_restore(self) -> RecoveryOutcome:

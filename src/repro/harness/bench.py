@@ -211,14 +211,11 @@ def _bench_log_append_force(
     return run
 
 
-def _bench_partition_sweep_file(
-    workers: int, executor: str = "thread"
-) -> Callable[[], object]:
+def _bench_partition_sweep_file(workers: int) -> Callable[[], object]:
     """Full backup sweep against the file-backed storage backend.
 
     Same shape as ``_bench_partition_sweep`` but with no simulated
-    ``io_delay_s`` — the cost per span is a real ``os.pread`` (and, for
-    ``executor="process"``, a real fork + pickle round trip), so these
+    ``io_delay_s`` — the cost per span is a real ``os.pread``, so these
     numbers document what the protocol surface costs on actual files.
     Each factory builds one database in a throwaway directory, removed
     at interpreter exit.
@@ -235,8 +232,7 @@ def _bench_partition_sweep_file(
     db = Database(pages_per_partition=[64, 64, 64, 64], policy="general",
                   backend="file", data_dir=data_dir)
     cfg = BackupConfig(steps=4, pages_per_tick=256, workers=workers,
-                       backend="file", data_dir=data_dir,
-                       executor=executor)
+                       backend="file", data_dir=data_dir)
 
     def run() -> int:
         db.engine.completed.clear()
@@ -312,8 +308,8 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
     instant-restore promise: fail the media, begin the restore, and read
     one page — the work is a single page's backup fetch plus its
     media-log slice, independent of database size.  ``mode="full"``
-    measures the same failure driven to a complete restore (begin +
-    eager 4-worker background + drain).  The acceptance bar is
+    measures the same failure driven to a complete restore (begin + one
+    on-demand read + the bulk drain).  The acceptance bar is
     ``ttfq * 5 <= full`` at this scale; in practice the gap is orders of
     magnitude because TTFQ is O(1 page) while the full restore is
     O(database).
@@ -345,7 +341,7 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
 
     def run_ttfq() -> object:
         db.media_failure()
-        db.begin_instant_restore(verify=False, eager=False)
+        db.begin_instant_restore(verify=False)
         value = db.read(probe)
         if value is None:
             raise AssertionError("probe page read nothing")
@@ -353,9 +349,7 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
 
     def run_full() -> object:
         db.media_failure()
-        manager = db.begin_instant_restore(
-            verify=False, eager=True, workers=4
-        )
+        manager = db.begin_instant_restore(verify=False)
         db.read(probe)
         outcome = db.finish_instant_restore()
         if not manager.complete:
@@ -499,8 +493,6 @@ BENCHMARKS: Dict[str, Callable[[], Callable[[], object]]] = {
     "log_append_force_4s": lambda: _bench_log_append_force(4, True),
     "partition_sweep_file_serial": lambda: _bench_partition_sweep_file(1),
     "partition_sweep_file_4w": lambda: _bench_partition_sweep_file(4),
-    "partition_sweep_file_4p":
-        lambda: _bench_partition_sweep_file(4, executor="process"),
     "log_append_force_file_4s": lambda: _bench_log_append_force_file(4),
 }
 

@@ -586,25 +586,27 @@ def _rot_backup_page(backup, page_id) -> None:
 def _run_instant_one(
     seed: int, batched: bool, rot: str = "none", traffic: bool = True,
     workers: int = 1, backend: str = "memory",
-    data_dir: Optional[str] = None, executor: str = "thread",
-    eager: bool = True, tracer=None,
+    data_dir: Optional[str] = None, read_all: bool = True,
+    crash: bool = False, tracer=None,
 ) -> Tuple[bool, Database]:
     """One instant-restore run: mid-restore reads must be exactly right.
 
     Drives the workload + backup like :func:`_drive`, fails the media,
-    then — *while the background restore is running* — reads every page
-    in a shuffled order and pins each value against the oracle state at
-    the failure point (quarantined pages must read the initial value;
-    anything else is a silent corruption).  ``traffic=True`` additionally
-    writes through unrestored pages mid-restore and checks the writes
-    win over the background sweep.  ``rot`` picks the integrity path:
+    begins an instant restore, then reads every page on demand in a
+    shuffled order and pins each value against the oracle state at the
+    failure point (quarantined pages must read the initial value;
+    anything else is a silent corruption).  ``traffic=True``
+    additionally writes through unrestored pages mid-restore and checks
+    the writes win over the drain.  ``rot`` picks the integrity path:
     ``"fallback"`` rots the newest of two generations (restore must fall
     back to the intact one), ``"quarantine"`` rots the only generation
-    (honest degrade).  ``eager=False`` runs no background pool and reads
-    only a few pages (traffic writes are flushed in part by one
-    ``install_some``), so the drain restores almost every page in bulk.
-    After the drain and a checkpoint, the stable store must hold every
-    page's recovered or written value.
+    (honest degrade).  ``read_all=False`` reads only a few pages
+    (traffic writes are flushed in part by one ``install_some``), so the
+    drain restores almost every page in bulk.  ``crash=True`` crashes
+    instead of finishing the restore: ``recover()`` must complete it,
+    traffic included, and release the restore's log pin.  Afterwards
+    (and a checkpoint) the stable store must hold every page's recovered
+    or written value.
     """
     from repro.ops.physical import PhysicalWrite
 
@@ -644,24 +646,27 @@ def _run_instant_one(
     expected = db.oracle.state()
     initial = db.initial_value
     db.media_failure()
-    db.begin_instant_restore(
-        workers=max(2, workers), executor=executor, eager=eager
-    )
+    db.begin_instant_restore()
     pages = list(db.layout.all_pages())
     order = list(pages)
     random.Random(seed + 1).shuffle(order)
-    # Eager: every page read mid-restore, racing the background sweep.
-    # Lazy: a few single-page restores; the drain does the rest.
-    observed = {pid: db.read(pid) for pid in (order if eager else order[:6])}
+    observed = {pid: db.read(pid)
+                for pid in (order if read_all else order[:6])}
     written = {}
     if traffic:
         for i, pid in enumerate(order[::9]):
             written[pid] = ("mid-restore", seed, i)
             db.execute(PhysicalWrite(pid, written[pid]))
-        if not eager:
+        if not read_all:
             db.install_some(2, rng)
-    outcome = db.finish_instant_restore()
-    ok = outcome.ok
+    if crash:
+        # The log is forced on every append, so the crash loses nothing.
+        db.crash()
+        outcome = db.recover()
+        ok = outcome.ok and db.retention.active_restore is None
+    else:
+        outcome = db.finish_instant_restore()
+        ok = outcome.ok
     quarantined = set(outcome.quarantined)
 
     def recovered(pid):
@@ -682,37 +687,37 @@ def _run_instant_one(
     return ok, db
 
 
-#: Instant-restore cases: label -> (rot, mid-restore traffic alongside
-#: the eager pool).  Without the pool every case carries traffic.
+#: Instant-restore cases: label -> (rot, mid-restore traffic, crash
+#: instead of finish).  The lazy-drain family carries traffic in every
+#: case.
 _INSTANT_CASES = {
-    "mid-restore-traffic": ("none", True),
-    "bitrot-fallback": ("fallback", False),
-    "bitrot-quarantine": ("quarantine", False),
+    "mid-restore-traffic": ("none", True, False),
+    "bitrot-fallback": ("fallback", False, False),
+    "bitrot-quarantine": ("quarantine", False, False),
+    "crash-mid-restore": ("none", True, True),
 }
 
 
 def _instant_scenarios(
     seed: int, batched: bool, workers: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    executor: str = "thread", eager: bool = True,
+    read_all: bool = True,
 ) -> ScenarioResult:
-    """Mid-restore correctness: plain, bitrot-fallback, and quarantine.
+    """Mid-restore correctness: plain, bitrot-fallback, quarantine, and a
+    crash mid-restore.
 
-    ``eager=False`` is ``instant-restore-lazy-drain``: no background
-    pool and mid-restore traffic in every case, so the drain's bulk path
+    ``read_all=False`` is ``instant-restore-lazy-drain``: a few reads
+    and mid-restore traffic in every case, so the drain's bulk path
     restores almost every page under each integrity path.
     """
-    mode = (_mode_name(batched, workers) if eager else "lazy-drain")
-    mode += _on(backend)
-    if executor != "thread":
-        mode += f"-{executor}"
-    result = ScenarioResult(f"instant-restore-{mode}")
-    for label, (rot, traffic) in _INSTANT_CASES.items():
+    mode = _mode_name(batched, workers) if read_all else "lazy-drain"
+    result = ScenarioResult(f"instant-restore-{mode}{_on(backend)}")
+    for label, (rot, traffic, crash) in _INSTANT_CASES.items():
         ok, db = _run_instant_one(seed, batched, rot=rot,
-                                  traffic=traffic or not eager,
+                                  traffic=traffic or not read_all,
                                   workers=workers, backend=backend,
-                                  data_dir=data_dir, executor=executor,
-                                  eager=eager)
+                                  data_dir=data_dir, read_all=read_all,
+                                  crash=crash)
         result.tally(ok, label, [], seed, batched, workers, backend=backend)
         result.detail = (
             f" on_demand={db.metrics.pages_restored_on_demand}"
@@ -978,10 +983,8 @@ def run_faultsweep(
                 emit(result)
             emit(_instant_scenarios(seed, batched, workers,
                                     backend=backend, data_dir=data_dir))
-        emit(_instant_scenarios(seed, True, 4, backend=backend,
-                                data_dir=data_dir, executor="process"))
         emit(_instant_scenarios(seed, True, backend=backend,
-                                data_dir=data_dir, eager=False))
+                                data_dir=data_dir, read_all=False))
         # Parallel redo smoke: every crash recovery of the sweep (and
         # the healed-logtail rot runs) replays through the 4-worker
         # pool; outcomes must stay byte-identical to serial replay.
@@ -1019,7 +1022,7 @@ def run_faultsweep(
                                         workers=workers):
             emit(result)
         emit(_instant_scenarios(seed, batched, workers))
-    emit(_instant_scenarios(seed, True, eager=False))
+    emit(_instant_scenarios(seed, True, read_all=False))
     emit(_torn_span_scenario(seed))
     emit(_torn_span_scenario(seed, workers=4))
     # Multi-stream WAL smoke: the crash sweep and the seeded mix against
@@ -1103,13 +1106,13 @@ def _replay(case: FailureCase, tracer) -> None:
     """
     name = case.scenario
     if name.startswith("instant-restore-"):
-        eager = "lazy-drain" not in name
-        rot, traffic = _INSTANT_CASES[case.label]
+        read_all = "lazy-drain" not in name
+        rot, traffic, crash = _INSTANT_CASES[case.label]
         _run_instant_one(
-            case.seed, case.batched, rot=rot, traffic=traffic or not eager,
-            workers=case.workers, backend=case.backend,
-            executor="process" if name.endswith("-process") else "thread",
-            eager=eager, tracer=tracer,
+            case.seed, case.batched, rot=rot,
+            traffic=traffic or not read_all, workers=case.workers,
+            backend=case.backend, read_all=read_all, crash=crash,
+            tracer=tracer,
         )
     elif name.startswith("bitrot-logtail-after-recovery"):
         _run_logtail_after_recovery_one(

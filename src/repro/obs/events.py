@@ -63,9 +63,9 @@ CORRUPTION_DETECTED = "corruption_detected"
 CHAIN_FALLBACK = "chain_fallback"
 #: A page had no intact copy anywhere and was excluded from recovery.
 QUARANTINE = "quarantine"
-#: Instant restore progressed: ``phase`` is begin / page / partition /
-#: drain / complete (``page`` restores carry ``page`` and ``source``
-#: = on-demand / background).
+#: Instant restore progressed: ``phase`` is begin / page / complete
+#: (``page`` restores carry ``page`` and ``source`` = on-demand for a
+#: traffic-driven restore, background for the drain's bulk restore).
 RESTORE_PROGRESS = "restore_progress"
 #: The archive tier sealed a chain generation (``kind`` is full /
 #: incremental / compacted) and recorded it in the chain manifest.

@@ -6,10 +6,10 @@ the full image is restored and the whole media log replayed.  Sauer &
 Härder's instant-restore observation is that nothing forces that: restore
 state is page-granular, so an access to a not-yet-restored page can
 trigger *single-page* restore (copy the page from the chosen backup
-generation, then replay just the media-log slice that touches it), while
-eager background restore works through the remaining partitions on the
-PR 5/7 worker pool.  Time-to-first-query drops from O(database) to O(one
-page's restore + redo).
+generation, then replay just the media-log slice that touches it), and
+a background finish restores whatever traffic did not touch.  Here that
+finish is the bulk drain.  Time-to-first-query drops from O(database)
+to O(one page's restore + redo).
 
 The pieces:
 
@@ -40,15 +40,8 @@ The pieces:
   :meth:`RestoreManager.ensure_restored` for every cache-missed read and
   every written page before an operation applies, so traffic only ever
   observes fully recovered values.
-* **Eager pool** — :meth:`RestoreManager.start_background` fans
-  per-partition restore out to a thread pool (or, for file-backed
-  backups, ships span reads to a :class:`ProcessPoolExecutor` via the
-  picklable :func:`repro.storage.file_backend.read_backup_span_file`).
-  Span reads pay device cost outside the manager lock; installs are
-  page-granular under the lock, so an on-demand access never waits for
-  more than one page's install.
 * **Bulk drain** — :meth:`RestoreManager.drain` finishes in bulk what
-  traffic and the pool left: the offline media recovery's one LSN-order
+  traffic left: the offline media recovery's one LSN-order
   replay of the slice over the chosen generation (so the outcome is the
   offline one by construction), then per unfinished partition the
   replay-written pages through the install rules and every other
@@ -76,7 +69,7 @@ from repro.recovery.media_recovery import (
     resolve_media_target,
     select_generation,
 )
-from repro.recovery.parallel_redo import ParallelRedoReplayer, make_replayer
+from repro.recovery.parallel_redo import make_replayer
 from repro.recovery.pipeline import (
     conclude_recovery,
     install_recovered_page,
@@ -157,8 +150,8 @@ class RestoredBitmap:
 class _SliceEvaluator:
     """Demand-driven, memoized redo over one media-log slice.
 
-    The third scheduler of the redo kernel, serving single-page restores
-    (traffic and the eager pool): ``_effects[lsn]`` memoizes what
+    The third scheduler of the redo kernel, serving on-demand
+    single-page restores: ``_effects[lsn]`` memoizes what
     :func:`~repro.recovery.redo.apply_record` returns for the record at
     ``lsn`` given the versions it would observe in LSN order — ``None``
     when the record is skipped (no stale write-set page at its turn),
@@ -324,14 +317,12 @@ class RestoreManager:
 
     Lifecycle: construct → :meth:`begin` (select generation, bound the
     media-log slice, re-format stable) → traffic flows through the
-    cache manager's ``restore_hook`` (:meth:`ensure_restored`) while
-    :meth:`start_background` works through partitions → :meth:`drain`
-    completes everything outstanding and returns a
+    cache manager's ``restore_hook`` (:meth:`ensure_restored`) →
+    :meth:`drain` completes everything outstanding and returns a
     :class:`RecoveryOutcome` byte-identical to the offline path's.
 
     One re-entrant lock guards the bitmap, the evaluator's memo tables,
-    and page installs; backup span reads (the device-cost part) run
-    outside it.
+    and page installs: traffic threads race in :meth:`ensure_restored`.
     """
 
     def __init__(
@@ -358,10 +349,8 @@ class RestoreManager:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
         # redo_workers > 1: the drain replays on the dependency-aware
-        # parallel replayer, and the background sweep additionally
-        # *primes* the evaluator's memo table with it (_prime_effects).
+        # parallel replayer.
         self.redo_workers = redo_workers
-        self._primed = False
         # Context-manager factory wrapped around restore-driven stable
         # I/O (Database passes ``_faults_suspended``: recovery I/O is
         # driven by the recovery algorithm, not the workload under test).
@@ -376,9 +365,6 @@ class RestoreManager:
         # from the live log when needed, never copied at begin.
         self._slice: Optional[Tuple[LSN, LSN]] = None
         self._evaluator: Optional[_SliceEvaluator] = None
-        self._pool = None
-        self._span_pool = None
-        self._futures: List = []
         self._began = False
         self._drained: Optional[RecoveryOutcome] = None
         self._t_begin: Optional[float] = None
@@ -412,9 +398,9 @@ class RestoreManager:
         # the evaluator never fetches their damaged cells; everything
         # else comes from the chosen (vetted-intact) generation's
         # verified read.
-        self._base = poison_seeds(self.quarantine_seed)
         self._evaluator = _SliceEvaluator(
-            self.log, first, last, self._base, self.initial_value,
+            self.log, first, last, poison_seeds(self.quarantine_seed),
+            self.initial_value,
             fetch=self.chosen.read_page,
         )
         with self._io_guard():
@@ -434,7 +420,7 @@ class RestoreManager:
 
     # ------------------------------------------------------------ lazy path
 
-    def ensure_restored(self, pid: PageId, source: str = "on-demand") -> bool:
+    def ensure_restored(self, pid: PageId) -> bool:
         """Restore one page if it is not restored yet.
 
         The cache manager's hook: called for every cache-missed read and
@@ -448,10 +434,10 @@ class RestoreManager:
         with self._lock:
             if self.bitmap.is_restored(pid):
                 return False
-            self._restore_page_locked(pid, source)
+            self._restore_page_locked(pid)
             return True
 
-    def _restore_page_locked(self, pid: PageId, source: str) -> None:
+    def _restore_page_locked(self, pid: PageId) -> None:
         """Compute and install one page's recovered version (lock held)."""
         evaluator = self._evaluator
         version = evaluator.final_version(pid)
@@ -466,11 +452,8 @@ class RestoreManager:
             )
         self.bitmap.mark(pid)
         if self.metrics is not None:
-            if source == "on-demand":
-                self.metrics.pages_restored_on_demand += 1
-            else:
-                self.metrics.pages_restored_background += 1
-        if source == "on-demand" and self._first_demand_ms is None:
+            self.metrics.pages_restored_on_demand += 1
+        if self._first_demand_ms is None:
             self._first_demand_ms = (
                 time.perf_counter() - self._t_begin
             ) * 1000.0
@@ -478,7 +461,8 @@ class RestoreManager:
                 self.metrics.time_to_first_query_ms = self._first_demand_ms
         if self.tracer.enabled:
             self.tracer.emit(
-                RESTORE_PROGRESS, phase="page", page=str(pid), source=source,
+                RESTORE_PROGRESS, phase="page", page=str(pid),
+                source="on-demand",
             )
 
     @property
@@ -486,167 +470,15 @@ class RestoreManager:
         """Wall time from begin() to the first on-demand restore."""
         return self._first_demand_ms
 
-    # ------------------------------------------------------------ eager pool
-
-    def start_background(
-        self, workers: int = 2, executor: str = "thread"
-    ) -> None:
-        """Fan eager per-partition restore out to a worker pool.
-
-        ``executor="process"`` ships backup span reads to a
-        :class:`ProcessPoolExecutor` via the picklable
-        :func:`~repro.storage.file_backend.read_backup_span_file` when
-        the chosen backup is file-backed (it falls back to threads
-        otherwise — an in-memory image cannot be read by another
-        process).  Installs are always performed by the submitting
-        worker thread, page-granular under the manager lock.
-        """
-        if not self._began:
-            raise RuntimeError("RestoreManager.begin() has not run")
-        if self._pool is not None:
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max(1, workers)
-        layout = self.stable.layout
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="instant-restore"
-        )
-        if executor == "process" and getattr(self.chosen, "path", None):
-            self._span_pool = self._make_process_pool(workers)
-        self._futures = [
-            self._pool.submit(self._restore_partition, partition)
-            for partition in range(layout.num_partitions)
-        ]
-        if self.redo_workers > 1:
-            # Prime alongside the partition sweep: the heavy replay runs
-            # off the manager lock, so on-demand traffic is never
-            # blocked, and every subsequent per-page restore becomes a
-            # memo lookup.  drain() joins this future with the others.
-            # The slice is taken here, on the caller's thread, so pool
-            # threads read the log only through its writer index.
-            records = list(self.log.merge_scan(*self._slice))
-            self._futures.append(
-                self._pool.submit(self._prime_effects, records)
-            )
-
-    @staticmethod
-    def _make_process_pool(workers: int):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-
-    def _restore_partition(self, partition: int) -> int:
-        """Eager-restore one partition (worker-thread body).
-
-        The span read (device cost) runs outside the lock so concurrent
-        partitions overlap like independent disk arms; each page install
-        takes the lock individually so on-demand traffic never queues
-        behind more than one page.
-        """
-        layout = self.stable.layout
-        size = layout.partition_size(partition)
-        span = self._read_backup_span(partition, 0, size)
-        with self._lock:
-            for pid, version in span:
-                # Seeds are already in the base (as POISON) and stay so.
-                self._base.setdefault(pid, version)
-        restored = 0
-        for pid in layout.pages_in_partition(partition):
-            with self._lock:
-                if self.bitmap.is_restored(pid):
-                    continue
-                self._restore_page_locked(pid, source="background")
-                restored += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                RESTORE_PROGRESS, phase="partition", partition=partition,
-                restored=restored,
-            )
-        return restored
-
-    def _read_backup_span(
-        self, partition: int, start: int, stop: int
-    ) -> List[Tuple[PageId, PageVersion]]:
-        """One backup span, via the process pool when configured."""
-        if self._span_pool is not None:
-            rows = self._span_pool.submit(
-                _read_backup_span_process,
-                self.chosen.path, partition, start, stop,
-            ).result()
-            out = []
-            for slot, ok, value, lsn in rows:
-                pid = PageId(partition, slot)
-                if pid in self._seeds:
-                    continue
-                if ok:
-                    out.append((pid, PageVersion(value, lsn)))
-                else:
-                    # Opaque/non-codec record: the in-memory image is
-                    # the authoritative surface (same as resolve_span).
-                    version = self.chosen.read_page(pid)
-                    if version is not None:
-                        out.append((pid, version))
-            return out
-        return self.chosen.read_span(partition, start, stop)
-
-    # ------------------------------------------------------------- parallel
-
-    def _prime_effects(self, records: List[LogRecord]) -> None:
-        """Batch-compute every record effect on the parallel replayer.
-
-        The eager pool's companion when ``redo_workers > 1``: the whole
-        media-log slice (``records``) is replayed once by
-        :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer` over
-        the chosen generation, off the manager lock; the per-record
-        effects (what the evaluator would memoize record by record —
-        both schedulers run the same kernel) are then installed into the
-        evaluator under the lock, so the sweep's per-page restores become
-        memo lookups.  Effects a demand path already memoized are kept;
-        they are equal by determinism.  Idempotent and safe to race with
-        on-demand restores.
-        """
-        with self._lock:
-            if self._primed:
-                return
-            self._primed = True
-            evaluator = self._evaluator
-        # Per-worker Metrics shards are absorbed into this carrier on
-        # the prime thread (which owns it), then merged into the shared
-        # instance under the manager lock.
-        carrier = self.metrics.shard() if self.metrics is not None else None
-        # No tracer: the demand-driven evaluator emits no REDO_OP
-        # events, and priming must not change the instant path's
-        # event stream.
-        replayer = ParallelRedoReplayer(
-            initial_value=self.initial_value,
-            workers=self.redo_workers,
-            metrics=carrier,
-            base=self.chosen.read_page,
-        )
-        stats, computed = replayer.replay_with_effects(
-            records, poison_seeds(self.quarantine_seed)
-        )
-        with self._lock:
-            evaluator.raised |= bool(stats.poisoned)
-            for record, effect in zip(records, computed):
-                evaluator._effects.setdefault(record.lsn, effect)
-            if carrier is not None:
-                self.metrics.absorb(carrier)
-
     # ---------------------------------------------------------------- drain
 
     def drain(self) -> RecoveryOutcome:
         """Finish the restore and return the offline-equivalent outcome.
 
-        Joins the background pool, then does what offline media recovery
-        does, restricted to the pages not restored yet: one LSN-order
-        replay of the slice bounded at :meth:`begin` (read from the log
-        now, with ``merge_scan``) over the chosen generation — so
+        Does what offline media recovery does, restricted to the pages
+        not restored yet: one LSN-order replay of the slice bounded at
+        :meth:`begin` (read from the log now, with ``merge_scan``) over
+        the chosen generation — so
         ``state``, ``replayed`` and ``skipped`` are the offline ones by
         construction — the shared pipeline's verdict
         (quarantine bookkeeping and oracle diffs included), and
@@ -656,14 +488,6 @@ class RestoreManager:
             return self._drained
         if not self._began:
             self.begin()
-        for future in self._futures:
-            future.result()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._span_pool is not None:
-            self._span_pool.shutdown(wait=True)
-            self._span_pool = None
         tracer = self.tracer
         with self._lock:
             # The seeds plus what replay wrote, as offline.  No tracer:
@@ -768,14 +592,3 @@ class RestoreManager:
                 for partition in range(self.stable.layout.num_partitions)
             }
 
-
-def _read_backup_span_process(path, partition, start, stop):
-    """Process-pool entry: returns picklable (slot, ok, value, lsn) rows."""
-    from repro.storage.file_backend import OK, read_backup_span_file
-
-    return [
-        (slot, status == OK, value, lsn)
-        for slot, status, value, lsn in read_backup_span_file(
-            path, partition, start, stop
-        )
-    ]

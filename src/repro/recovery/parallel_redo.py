@@ -43,7 +43,7 @@ import heapq
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, MutableMapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, MutableMapping, Optional
 
 from repro.ids import PageId
 from repro.obs.tracer import NULL_TRACER
@@ -117,30 +117,6 @@ class ParallelRedoReplayer:
         self.workers = workers
         self.metrics = metrics
 
-    # -- public API -----------------------------------------------------
-
-    def replay(
-        self,
-        records: Iterable[LogRecord],
-        state: MutableMapping[PageId, PageVersion],
-    ) -> ReplayStats:
-        return self._execute(records, state)[0]
-
-    def replay_with_effects(
-        self,
-        records: Iterable[LogRecord],
-        state: MutableMapping[PageId, PageVersion],
-    ) -> Tuple[ReplayStats, List[Optional[Dict[PageId, PageVersion]]]]:
-        """Replay and also return one effect slot per record.
-
-        A slot is ``None`` for a skipped record, else the ``{page:
-        installed PageVersion}`` mapping for its stale pages — exactly
-        what the instant-restore slice evaluator memoizes, letting its
-        background sweep prime the whole memo table in parallel.
-        """
-        stats, outcomes = self._execute(records, state)
-        return stats, [outcome and outcome[0] for outcome in outcomes]
-
     # -- graph construction --------------------------------------------
 
     @staticmethod
@@ -188,18 +164,18 @@ class ParallelRedoReplayer:
 
     # -- scheduling -----------------------------------------------------
 
-    def _execute(
+    def replay(
         self,
         records: Iterable[LogRecord],
         state: MutableMapping[PageId, PageVersion],
-    ) -> Tuple[ReplayStats, List[Optional[Replayed]]]:
+    ) -> ReplayStats:
         record_list: List[LogRecord] = list(records)
         n = len(record_list)
         stats = ReplayStats(records_seen=n)
         # One kernel result per record; ``None`` is a skipped record.
         outcomes: List[Optional[Replayed]] = [None] * n
         if n == 0:
-            return stats, outcomes
+            return stats
 
         indegree, successors, single_partition = self._build_graph(
             record_list
@@ -316,4 +292,4 @@ class ParallelRedoReplayer:
 
         for record, outcome in zip(record_list, outcomes):
             stats.tally(record, outcome)
-        return stats, outcomes
+        return stats

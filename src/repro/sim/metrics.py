@@ -148,8 +148,8 @@ class Metrics:
     # Media recovery / instant restore: fallback generations rejected by
     # the selection gate (with trace events carrying why), replayed pages
     # dropped because they fell outside the stable layout, and the
-    # instant-restore split between on-demand (lazy, access-triggered)
-    # and eager background page restores.  ``time_to_first_query_ms`` is
+    # instant-restore split between on-demand (access-triggered) page
+    # restores and the pages the drain restores in bulk.  ``time_to_first_query_ms`` is
     # stamped by the RestoreManager when the first on-demand access is
     # served (0.0 until then).
     fallback_rejections: int = 0

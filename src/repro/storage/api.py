@@ -139,10 +139,6 @@ class BackupStore(Protocol):
 
     def iter_pages(self) -> Iterable[Tuple[PageId, PageVersion]]: ...
 
-    def read_span(
-        self, partition: int, start: int, stop: int
-    ) -> List[Tuple[PageId, PageVersion]]: ...
-
     def verify_pages(self, page_ids: Iterable[PageId]) -> None: ...
 
     def damaged_pages(self) -> List[PageId]: ...

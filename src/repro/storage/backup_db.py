@@ -334,25 +334,6 @@ class BackupDatabase:
         """
         return iter(list(self._versions.items()))
 
-    def read_span(
-        self, partition: int, start: int, stop: int
-    ) -> List[Tuple[PageId, PageVersion]]:
-        """Recorded pages of one partition with ``start <= slot < stop``.
-
-        The per-span read surface for background instant restore: worker
-        tasks pull whole partitions (or step-sized slices) in one call,
-        mirroring the sweep's span reads on the stable side.  Pages the
-        backup never recorded are simply absent from the result.
-        """
-        versions = self._versions
-        out = []
-        for slot in range(start, stop):
-            pid = PageId(partition, slot)
-            version = versions.get(pid)
-            if version is not None:
-                out.append((pid, version))
-        return out
-
     def copy_order(self) -> List[PageId]:
         return list(self._copy_order)
 

@@ -11,9 +11,8 @@ On-disk layout under one ``data_dir``::
     stable/p0000.pages      log-structured page file, one per partition:
     stable/p0001.pages      each install appends [u32 length][JSON body]
     ...                     with {"slot","lsn","crc","value"}; the store
-                            keeps a {page: (offset, length)} index, so
-                            superseded records stay readable (consistent
-                            plan-time snapshots for process workers).
+                            keeps a {page: (offset, length)} index of
+                            each page's latest record.
     stable/shadow.journal   doublewrite journal: pre-images of an
                             in-flight multi-page install, fsynced before
                             the install touches any cell.
@@ -27,12 +26,7 @@ On-disk layout under one ``data_dir``::
                             page records in copy order, sealed by a
                             footer line at ``complete()``.
 
-Crash-safety invariants are documented in docs/STORAGE.md.  Because the
-page files are log-structured and append-only, a span's
-``(offset, length)`` list is a *consistent snapshot*: later installs
-append new records without invalidating old offsets, which is what makes
-span reads picklable shared-nothing work for the
-``ProcessPoolExecutor`` sweep (:func:`read_span_file`).
+Crash-safety invariants are documented in docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -44,13 +38,12 @@ import tempfile
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.codec import CodecError, decode_value, encode_value
-from repro.errors import MediaFailureError, PageNotFoundError, CorruptPageError
+from repro.codec import CodecError, encode_value
 from repro.ids import LSN, PageId
 from repro.storage.api import StorageBackend
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.layout import Layout
-from repro.storage.page import PageVersion, page_checksum
+from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
 
 __all__ = [
@@ -58,8 +51,6 @@ __all__ = [
     "FileStableDatabase",
     "FileBackupDatabase",
     "FileLogDevice",
-    "read_span_file",
-    "read_backup_span_file",
 ]
 
 _LEN = struct.Struct(">I")
@@ -84,95 +75,6 @@ def _encode_body(slot: int, version: PageVersion) -> Dict[str, Any]:
 def _pack_record(body: Dict[str, Any]) -> bytes:
     data = json.dumps(body, separators=(",", ":")).encode()
     return _LEN.pack(len(data)) + data
-
-
-#: Worker-result status codes for :func:`read_span_file`.
-OK = "ok"
-IN_MEMORY = "mem"
-CORRUPT = "corrupt"
-
-
-def read_span_file(path: str, entries):
-    """Read one backup span from a page file (process-pool worker).
-
-    ``entries`` is ``[(slot, (offset, length) | None), ...]``; the
-    return value is ``[(slot, status, value, lsn), ...]`` with plain
-    picklable data — exceptions never cross the process boundary, the
-    coordinator turns ``corrupt`` rows back into
-    :class:`~repro.errors.CorruptPageError`.  Rows with no file record
-    (never-written pages) and opaque records resolve to ``mem``: the
-    coordinator serves them from the in-memory cell.
-    """
-    out = []
-    with open(path, "rb") as handle:
-        fd = handle.fileno()
-        for slot, loc in entries:
-            if loc is None:
-                out.append((slot, IN_MEMORY, None, 0))
-                continue
-            offset, length = loc
-            raw = os.pread(fd, length, offset)
-            try:
-                body = json.loads(raw)
-            except ValueError:
-                out.append((slot, CORRUPT, None, 0))
-                continue
-            if "opaque" in body:
-                out.append((slot, IN_MEMORY, None, 0))
-                continue
-            try:
-                value = decode_value(body["value"])
-            except (CodecError, KeyError, TypeError):
-                out.append((slot, CORRUPT, None, 0))
-                continue
-            lsn = body.get("lsn", 0)
-            if page_checksum(value, lsn) != body.get("crc"):
-                out.append((slot, CORRUPT, None, 0))
-                continue
-            out.append((slot, OK, value, lsn))
-    return out
-
-
-def read_backup_span_file(path: str, partition: int, start: int, stop: int):
-    """Read one backup span from a sealed backup JSONL (process worker).
-
-    Scans the backup file's page records and returns
-    ``[(slot, status, value, lsn), ...]`` for recorded pages of
-    ``partition`` with ``start <= slot < stop`` — the same picklable row
-    shape as :func:`read_span_file`, resolved by the coordinator with
-    the in-memory image as the fallback surface (``mem`` rows cover
-    opaque/non-codec values; ``corrupt`` rows cover on-disk damage).
-    Instant restore's process executor ships these calls to pool
-    workers so eager background restore never pickles live stores.
-    """
-    out = []
-    with open(path, "rb") as handle:
-        for line in handle:
-            try:
-                body = json.loads(line)
-            except ValueError:
-                continue
-            slot = body.get("slot")
-            if (
-                slot is None
-                or body.get("partition") != partition
-                or not (start <= slot < stop)
-            ):
-                continue
-            if "opaque" in body:
-                out.append((slot, IN_MEMORY, None, 0))
-                continue
-            try:
-                value = decode_value(body["value"])
-            except (CodecError, KeyError, TypeError):
-                out.append((slot, CORRUPT, None, 0))
-                continue
-            lsn = body.get("lsn", 0)
-            if page_checksum(value, lsn) != body.get("crc"):
-                out.append((slot, CORRUPT, None, 0))
-                continue
-            out.append((slot, OK, value, lsn))
-    return out
 
 
 class FileStableDatabase(StableDatabase):
@@ -270,49 +172,6 @@ class FileStableDatabase(StableDatabase):
         raw = os.pread(fd, length, offset)
         if raw:  # flip the first byte of the on-disk record too
             os.pwrite(fd, bytes([raw[0] ^ 0xFF]) + raw[1:], offset)
-
-    # ------------------------------------------------- process-pool surface
-
-    def span_task(self, partition: int, start: int, stop: int):
-        """Plan one picklable span read: ``(path, entries)``.
-
-        Runs the same protocol-boundary checks as :meth:`read_pages`
-        (media gate, one ``stable.read_pages`` fault-plane check, the
-        simulated seek), then captures the span's record locations.  The
-        page files are append-only, so the captured offsets stay valid
-        no matter what is installed afterwards.
-        """
-        self._begin_bulk_read()
-        if partition in self._failed_partitions:
-            raise MediaFailureError(
-                f"partition {partition} has suffered a media failure"
-            )
-        entries = []
-        for slot in range(start, stop):
-            pid = PageId(partition, slot)
-            if pid not in self._pages:
-                raise PageNotFoundError(pid)
-            entries.append((slot, self._locs.get(pid)))
-        return self._paths[partition], entries
-
-    def resolve_span(self, partition: int, rows) -> List[Tuple[PageId, PageVersion]]:
-        """Turn :func:`read_span_file` worker rows back into span entries.
-
-        ``corrupt`` rows raise :class:`CorruptPageError`; ``mem`` rows
-        (never-written or opaque pages) are served from the in-memory
-        cell after the usual envelope verification.
-        """
-        out = []
-        for slot, status, value, lsn in rows:
-            pid = PageId(partition, slot)
-            if status == CORRUPT:
-                raise CorruptPageError(pid, store="stable")
-            if status == IN_MEMORY:
-                version = self._verify(pid, self._version(pid))
-            else:
-                version = PageVersion(value, lsn)
-            out.append((pid, version))
-        return out
 
     # ------------------------------------------------------ restore / media
 

@@ -26,10 +26,15 @@ class TestFaultsweep:
             "crash-sweep-serial", "crash-sweep-batched",
             "seeded-mix-serial", "seeded-mix-batched",
             "torn-backup-span",
-            "instant-restore-lazy-drain",
+            "instant-restore-serial", "instant-restore-batched",
+            "instant-restore-parallel", "instant-restore-lazy-drain",
             "bitrot-logtail-after-recovery",
             "bitrot-logtail-after-recovery-multistream",
         } <= names
+        # Every instant family finishes one restore through a crash.
+        for result in report.results:
+            if result.name.startswith("instant-restore-"):
+                assert result.total == 4, result.name
 
     def test_faults_actually_fired(self):
         report = run_faultsweep(seed=0, quick=True)
@@ -58,6 +63,7 @@ class TestFaultsweep:
             "bitrot-stable-batched-file",
             "transient-parallel-file", "crash-sweep-parallel-file",
             "torn-backup-span-file",
+            "instant-restore-batched-file", "instant-restore-parallel-file",
             "instant-restore-lazy-drain-file",
             "bitrot-logtail-after-recovery-file",
             "bitrot-logtail-after-recovery-multistream-file",

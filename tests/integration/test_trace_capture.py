@@ -144,7 +144,7 @@ REPLAY_FAMILIES = {
         _events_of(ev.CRASH), 2,
     ),
     "instant": (
-        lambda: fs._instant_scenarios(0, True, eager=False),
+        lambda: fs._instant_scenarios(0, True, read_all=False),
         _events_of(ev.RESTORE_PROGRESS, phase="begin"), 1,
     ),
     "archive-bitrot": (

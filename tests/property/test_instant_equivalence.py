@@ -2,10 +2,9 @@
 
 Twin databases driven by the same seed produce the same log and the same
 sealed backup; one recovers offline (``media_recover``), the other
-through the instant-restore path: with the eager pool, a shuffled
-mid-restore read schedule races the background sweep; without it, a
-handful of reads restore single pages and the drain does the rest in
-bulk.  The final stable snapshots, the recovery-outcome state, the
+through the instant-restore path: either a shuffled mid-restore read
+schedule restores half the pages on demand, or a handful of reads
+restore single pages; the drain restores the rest in bulk.  The final stable snapshots, the recovery-outcome state, the
 replay counters, and the quarantine sets must all match — across
 workloads, fault (bitrot) schedules, storage backends, and serial or
 parallel redo.
@@ -67,11 +66,11 @@ def _key(state):
     return {pid: (v.value, v.page_lsn) for pid, v in state.items()}
 
 
-def _program(db, seed, eager, mid_writes):
+def _program(db, seed, many_reads, mid_writes):
     """The mid-restore traffic, as ("read", pid) / ("write", pid, value).
 
-    Eager: half the pages race the pool.  Lazy: a handful restore on
-    demand and the drain restores everything else in bulk.  With
+    ``many_reads``: half the pages restore on demand; otherwise a
+    handful do.  The drain restores everything else in bulk.  With
     ``mid_writes`` the program first overwrites a page some slice record
     reads, then reads a page that record writes — the overwrite lands
     above the restore target in the same writer index and must not leak
@@ -79,7 +78,7 @@ def _program(db, seed, eager, mid_writes):
     """
     order = list(db.layout.all_pages())
     random.Random(seed + 99).shuffle(order)
-    reads = order[::2] if eager else order[:4]
+    reads = order[::2] if many_reads else order[:4]
     if not mid_writes:
         return [("read", pid) for pid in reads]
     program = []
@@ -110,7 +109,7 @@ def _run(db, program):
 
 
 def _assert_equivalent(seed, rot_sites, backend="memory",
-                       tmp_path=None, executor="thread", eager=True,
+                       tmp_path=None, many_reads=True,
                        redo_workers=1, log_streams=1, mid_writes=False):
     d1 = str(tmp_path / "offline") if tmp_path else None
     d2 = str(tmp_path / "instant") if tmp_path else None
@@ -121,7 +120,7 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
         os.makedirs(d2, exist_ok=True)
 
     offline = _build(seed, rot_sites, backend, d1, redo_workers, log_streams)
-    program = _program(offline, seed, eager, mid_writes)
+    program = _program(offline, seed, many_reads, mid_writes)
     offline.media_failure()
     expected_outcome = offline.media_recover()
     expected_snapshot = offline.stable.snapshot()
@@ -131,7 +130,7 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
     oracle = instant.oracle.state()
     initial = instant.initial_value
     instant.media_failure()
-    instant.begin_instant_restore(workers=3, executor=executor, eager=eager)
+    instant.begin_instant_restore()
     observed = _run(instant, program)
     outcome = instant.finish_instant_restore()
 
@@ -176,16 +175,18 @@ class TestInstantEquivalence:
         _assert_equivalent(seed, rot_sites)
 
 
-#: (eager, redo_workers) beyond the eager, serial-redo default above.
+#: (many_reads, redo_workers) beyond the many-reads, serial-redo default
+#: above.
 DRAIN_MODES = [(True, 4), (False, 1), (False, 4)]
 
 
-@pytest.mark.parametrize("eager,redo_workers", DRAIN_MODES)
+@pytest.mark.parametrize("many_reads,redo_workers", DRAIN_MODES)
 class TestDrainModesEquivalence:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_clean_runs_equivalent(self, eager, redo_workers, seed):
-        _assert_equivalent(seed, (), eager=eager, redo_workers=redo_workers)
+    def test_clean_runs_equivalent(self, many_reads, redo_workers, seed):
+        _assert_equivalent(seed, (), many_reads=many_reads,
+                           redo_workers=redo_workers)
 
     @given(
         st.integers(0, 10_000),
@@ -195,42 +196,43 @@ class TestDrainModesEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_rotted_backup_runs_equivalent(
-        self, eager, redo_workers, seed, rot_sites
+        self, many_reads, redo_workers, seed, rot_sites
     ):
-        _assert_equivalent(seed, rot_sites, eager=eager,
+        _assert_equivalent(seed, rot_sites, many_reads=many_reads,
                            redo_workers=redo_workers)
 
 
 class TestStripedLogEquivalence:
     """A four-stream log: the writer index is fed out of stream order."""
 
-    @pytest.mark.parametrize("eager,redo_workers", [(True, 1)] + DRAIN_MODES)
+    @pytest.mark.parametrize("many_reads,redo_workers",
+                             [(True, 1)] + DRAIN_MODES)
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_clean_runs_equivalent(self, eager, redo_workers, seed):
-        _assert_equivalent(seed, (), eager=eager, redo_workers=redo_workers,
-                           log_streams=4)
+    def test_clean_runs_equivalent(self, many_reads, redo_workers, seed):
+        _assert_equivalent(seed, (), many_reads=many_reads,
+                           redo_workers=redo_workers, log_streams=4)
 
 
 class TestMidRestoreWritesEquivalence:
     """Traffic writes between begin and finish append records above the
     restore target to the same per-page writer lists the evaluator
-    reads; with the eager pool on a four-stream log, pool threads read
-    the index while the caller's thread appends to it."""
+    reads."""
 
-    @pytest.mark.parametrize("eager,log_streams", [
+    @pytest.mark.parametrize("many_reads,log_streams", [
         (False, 1), (True, 1), (False, 4), (True, 4),
     ])
     @given(st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
-    def test_mid_restore_writes_equivalent(self, eager, log_streams, seed):
-        _assert_equivalent(seed, (), eager=eager, log_streams=log_streams,
-                           mid_writes=True)
+    def test_mid_restore_writes_equivalent(self, many_reads, log_streams,
+                                           seed):
+        _assert_equivalent(seed, (), many_reads=many_reads,
+                           log_streams=log_streams, mid_writes=True)
 
     @given(st.integers(0, 10_000), st.tuples(st.integers(0, 47)))
     @settings(max_examples=8, deadline=None)
     def test_mid_restore_writes_with_rotted_backup(self, seed, rot_sites):
-        _assert_equivalent(seed, rot_sites, eager=True, log_streams=4,
+        _assert_equivalent(seed, rot_sites, log_streams=4,
                            redo_workers=4, mid_writes=True)
 
 
@@ -259,15 +261,6 @@ class TestInstantEquivalenceFileBackend:
 
         with tempfile.TemporaryDirectory() as tmp:
             _assert_equivalent(seed, rot_sites, backend="file",
-                               tmp_path=Path(tmp), eager=False,
+                               tmp_path=Path(tmp), many_reads=False,
                                redo_workers=redo_workers)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=3, deadline=None)
-    def test_file_backend_process_pool_equivalent(self, seed):
-        import tempfile
-        from pathlib import Path
-
-        with tempfile.TemporaryDirectory() as tmp:
-            _assert_equivalent(seed, (), backend="file",
-                               tmp_path=Path(tmp), executor="process")

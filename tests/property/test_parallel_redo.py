@@ -121,24 +121,6 @@ class TestReplayerEquivalence:
         assert _key(parallel_state) == _key(serial_state)
         assert _stats_tuple(parallel_stats) == _stats_tuple(serial_stats)
 
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=15, deadline=None)
-    def test_effects_match_installed_versions(self, seed):
-        records, base = _make_log(seed, count=60)
-        state = dict(base)
-        replayer = ParallelRedoReplayer(initial_value=0, workers=3)
-        stats, effects = replayer.replay_with_effects(records, state)
-        assert len(effects) == len(records)
-        replayed = sum(1 for e in effects if e is not None)
-        assert replayed == stats.ops_replayed
-        # Every page's final version is the last effect that wrote it.
-        last = {}
-        for effect in effects:
-            if effect:
-                last.update(effect)
-        for page, version in last.items():
-            assert state[page] is version
-
     def test_make_replayer_dispatch(self):
         assert isinstance(make_replayer(redo_workers=1), RedoReplayer)
         parallel = make_replayer(redo_workers=3)

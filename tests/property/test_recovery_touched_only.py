@@ -187,7 +187,7 @@ def _recover(db, flavour):
                 return db.selective_recover("rogue", backup=full)
         else:
             def recover():
-                db.begin_instant_restore(backup=full, workers=2)
+                db.begin_instant_restore(backup=full)
                 for pid in pages[::5]:
                     db.read(pid)
                 return db.finish_instant_restore()

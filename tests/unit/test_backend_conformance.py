@@ -249,9 +249,3 @@ class TestConfigValidation:
     def test_data_dir_requires_file_backend(self):
         with pytest.raises(Exception):
             BackupConfig(data_dir="/tmp/x")
-
-    def test_process_executor_requires_file_backend(self):
-        with pytest.raises(Exception):
-            BackupConfig(executor="process")
-        cfg = BackupConfig(executor="process", backend="file")
-        assert cfg.executor == "process"

@@ -2,9 +2,8 @@
 
 Covers what the backend-conformance suite cannot: the on-disk artifacts
 themselves (page files, the doublewrite journal, per-stream WAL files),
-the process-pool sweep's shared-nothing span readers, byte-identity of
-sealed archives across backends and executors, and the format-2
-streaming archive verifier.
+byte-identity of sealed archives across backends and sweep thread
+counts, and the format-2 streaming archive verifier.
 """
 
 import json
@@ -12,6 +11,7 @@ import os
 
 import pytest
 
+from repro.codec import decode_value
 from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import BackupError
@@ -25,15 +25,9 @@ from repro.storage.archive import (
     scan_archive,
     verify_archive,
 )
-from repro.storage.file_backend import (
-    CORRUPT,
-    OK,
-    FileLogDevice,
-    FileStableDatabase,
-    read_span_file,
-)
+from repro.storage.file_backend import FileLogDevice, FileStableDatabase
 from repro.storage.layout import Layout
-from repro.storage.page import PageVersion
+from repro.storage.page import PageVersion, page_checksum
 from repro.wal.multi_log import MultiLogManager
 from repro.wal.serialize import record_from_spec
 from repro.workloads import mixed_logical_workload
@@ -41,6 +35,23 @@ from repro.workloads import mixed_logical_workload
 
 def pid(slot, partition=0):
     return PageId(partition, slot)
+
+
+def disk_records(stable):
+    """Each page's latest record, read back from its page file.
+
+    ``{slot: body}`` for the pages of partition 0 that have a record,
+    with ``None`` for a record whose bytes no longer parse.
+    """
+    out = {}
+    with open(stable._paths[0], "rb") as handle:
+        for page, (offset, length) in stable._locs.items():
+            raw = os.pread(handle.fileno(), length, offset)
+            try:
+                out[page.slot] = json.loads(raw)
+            except ValueError:
+                out[page.slot] = None
+    return out
 
 
 @pytest.fixture
@@ -58,24 +69,28 @@ class TestFileStableDatabase:
         assert os.path.getsize(path) > 0
 
     def test_span_reader_round_trip(self, stable):
+        """Every install lands as a checksummed record in the page file."""
         for slot in range(8):
             stable.write_page(pid(slot), ("r", slot), slot + 1)
-        path, entries = stable.span_task(0, 0, 8)
-        rows = read_span_file(path, entries)
-        assert [status for _, status, _, _ in rows] == [OK] * 8
-        for slot, status, value, lsn in rows:
-            assert value == ("r", slot)
-            assert lsn == slot + 1
+        records = disk_records(stable)
+        assert sorted(records) == list(range(8))
+        for slot, body in records.items():
+            assert decode_value(body["value"]) == ("r", slot)
+            assert body["lsn"] == slot + 1
+            assert body["crc"] == page_checksum(("r", slot), slot + 1)
 
     def test_span_reader_sees_consistent_snapshot(self, stable):
-        """Old offsets stay valid in the log-structured page file: a
-        write after planning must not change what the span reads."""
+        """The page file is append-only: a later install appends a new
+        record and leaves the old one readable at its old offset."""
         for slot in range(8):
             stable.write_page(pid(slot), ("old", slot), 1)
-        path, entries = stable.span_task(0, 0, 8)
+        old = stable._locs[pid(3)]
         stable.write_page(pid(3), ("new", 3), 2)
-        rows = read_span_file(path, entries)
-        assert rows[3][2] == ("old", 3)
+        assert stable._locs[pid(3)] != old
+        with open(stable._paths[0], "rb") as handle:
+            body = json.loads(os.pread(handle.fileno(), old[1], old[0]))
+        assert body["lsn"] == 1
+        assert disk_records(stable)[3]["lsn"] == 2
 
     def test_bitrot_detected_through_file(self, stable):
         import random
@@ -83,10 +98,7 @@ class TestFileStableDatabase:
         stable.write_page(pid(2), ("payload",), 7)
         rotted = stable._bitrot(random.Random(0))
         assert rotted
-        path, entries = stable.span_task(0, 0, 8)
-        rows = read_span_file(path, entries)
-        statuses = {slot: status for slot, status, _, _ in rows}
-        assert CORRUPT in statuses.values()
+        assert disk_records(stable)[2] is None
 
     def test_restore_from_rewrites_files(self, stable):
         for slot in range(8):
@@ -96,11 +108,12 @@ class TestFileStableDatabase:
             {pid(slot): PageVersion(("post", slot), 2) for slot in range(8)},
             initial_value=(),
         )
-        path, entries = stable.span_task(0, 0, 8)
-        rows = read_span_file(path, entries)
-        for slot, status, value, lsn in rows:
-            assert status == OK
-            assert value == ("post", slot)
+        records = disk_records(stable)
+        assert sorted(records) == list(range(8))
+        for slot, body in records.items():
+            assert body["lsn"] == 2
+            assert decode_value(body["value"]) == ("post", slot)
+            assert body["crc"] == page_checksum(("post", slot), 2)
 
 
 class TestFileLogDevice:
@@ -150,13 +163,13 @@ class TestFileLogDevice:
 
 
 class TestSealedBackupByteIdentity:
-    def _archive_bytes(self, tmp_path, name, backend, executor):
+    def _archive_bytes(self, tmp_path, name, backend, workers):
         data_dir = str(tmp_path / name)
         db = Database(pages_per_partition=[8, 8, 8, 8], policy="general",
                       backend=backend, data_dir=data_dir)
         source = mixed_logical_workload(db.layout, seed=11, count=40)
-        cfg = BackupConfig(steps=4, batched=True, workers=4,
-                           backend=backend, executor=executor,
+        cfg = BackupConfig(steps=4, batched=True, workers=workers,
+                           backend=backend,
                            data_dir=data_dir if backend == "file" else None)
         db.start_backup(cfg)
         while db.backup_in_progress():
@@ -174,20 +187,13 @@ class TestSealedBackupByteIdentity:
 
     def test_identical_across_backends_and_executors(self, tmp_path):
         """The same seeded run seals byte-identical archives on the
-        memory backend, the file backend with the thread pool, and the
-        file backend with the process pool."""
-        memory = self._archive_bytes(tmp_path, "mem", "memory", "thread")
-        file_thread = self._archive_bytes(tmp_path, "ft", "file", "thread")
-        file_process = self._archive_bytes(tmp_path, "fp", "file", "process")
-        assert memory == file_thread
-        assert file_thread == file_process
-
-
-class TestProcessExecutorValidation:
-    def test_process_executor_requires_file_stable(self):
-        db = Database(pages_per_partition=[8, 8], policy="general")
-        with pytest.raises(BackupError):
-            db.engine.start_backup(workers=2, executor="process")
+        memory backend, the file backend reading spans inline, and the
+        file backend reading them on four threads."""
+        memory = self._archive_bytes(tmp_path, "mem", "memory", 1)
+        file_inline = self._archive_bytes(tmp_path, "f1", "file", 1)
+        file_threads = self._archive_bytes(tmp_path, "f4", "file", 4)
+        assert memory == file_inline
+        assert file_inline == file_threads
 
 
 class TestStreamingArchive:

@@ -5,7 +5,7 @@ store; the first query then replays only the probe page's writers,
 looked up in the log's per-page writer index.  Guarded here on both
 storage backends and on single- and four-stream logs:
 
-* from ``begin_instant_restore(eager=False)`` through the first read,
+* from ``begin_instant_restore()`` through the first read,
   ``merge_scan`` and ``scan`` are never called;
 * on a slice of 100 k records where the probe page has ``k`` single-page
   writers, the first read makes at most ``k`` redo-kernel calls;
@@ -70,7 +70,7 @@ def test_begin_and_first_read_never_scan_the_log(
     db.media_failure()
     with monkeypatch.context() as patch:
         _forbid(patch, db.log)
-        db.begin_instant_restore(eager=False)
+        db.begin_instant_restore()
         value = db.read(PROBE)
     assert value == expected[PROBE]
     outcome = db.finish_instant_restore()
@@ -108,7 +108,7 @@ def test_first_read_replays_only_the_probe_pages_writers(
         return real(record, version_of)
 
     monkeypatch.setattr(instant_restore, "apply_record", counting)
-    manager = db.begin_instant_restore(eager=False, verify=False)
+    manager = db.begin_instant_restore(verify=False)
     value = db.read(PROBE)
     monkeypatch.undo()
     assert len(log.writers(PROBE, manager.chosen.media_scan_start_lsn)) == k
@@ -126,7 +126,7 @@ def test_records_above_the_target_never_replay(streams, tmp_path,
     db = _backed_up(_db("memory", streams, tmp_path))
     expected = db.oracle_state()[PROBE]
     db.media_failure()
-    manager = db.begin_instant_restore(eager=False, verify=False)
+    manager = db.begin_instant_restore(verify=False)
     # Straight to the log: the probe is still unrestored when its writer
     # list first gains records above the target.
     for i in range(3):
@@ -153,20 +153,21 @@ def _expected_after_restore(streams, tmp_path):
 
 
 @pytest.mark.parametrize("streams", [1, 4])
-@pytest.mark.parametrize("eager", [False, True])
-def test_active_restore_pins_its_slice(streams, eager, tmp_path):
+@pytest.mark.parametrize("read_all", [False, True])
+def test_active_restore_pins_its_slice(streams, read_all, tmp_path):
     expected_outcome, expected_snapshot = _expected_after_restore(
         streams, tmp_path
     )
     db = _backed_up(_db("memory", streams, tmp_path))
     db.media_failure()
-    manager = db.begin_instant_restore(eager=eager)
+    manager = db.begin_instant_restore()
     chosen = manager.chosen
     db.retire_backup(chosen)
     # Everything below the slice may go; the slice itself may not.
     assert db.truncate_log() > 0
     assert db.log.first_retained_lsn == chosen.media_scan_start_lsn
-    for page in db.layout.all_pages():
+    # Every page on demand, or none and the drain restores them all.
+    for page in db.layout.all_pages() if read_all else ():
         db.read(page)
     outcome = db.finish_instant_restore()
     assert outcome.ok

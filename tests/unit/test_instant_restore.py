@@ -1,7 +1,7 @@
 """Unit tests: instant restore internals and the PR's bugfix satellites.
 
 Covers the restored-bitmap edge cases (including real-thread races
-between on-demand and background restore), the observability fixes —
+between traffic threads restoring on demand), the observability fixes —
 fallback generations are never rejected silently, out-of-layout replay
 targets are never dropped silently — and the streamed single-pass
 restore path (``restore_from`` over an iterable).
@@ -95,7 +95,7 @@ class TestRestoredBitmap:
 
 class TestInstantRestoreLifecycle:
     def test_every_page_installed_exactly_once(self):
-        """On-demand and background racing never double-install a page."""
+        """Traffic threads racing on demand never double-install a page."""
         db, pages = build_db()
         db.media_failure()
         installs = Counter()
@@ -108,7 +108,7 @@ class TestInstantRestoreLifecycle:
             return orig(page_id, version)
 
         db.stable.install_version = counting
-        manager = db.begin_instant_restore(workers=4)
+        manager = db.begin_instant_restore()
 
         def hammer(seed):
             order = list(pages)
@@ -135,10 +135,10 @@ class TestInstantRestoreLifecycle:
         )
 
     def test_mid_restore_write_survives_background_sweep(self):
-        """A traffic write mid-restore must win over the eager restore."""
+        """A traffic write mid-restore must win over the drain."""
         db, pages = build_db()
         db.media_failure()
-        db.begin_instant_restore(workers=2)
+        db.begin_instant_restore()
         victim = pages[-1]
         db.execute(PhysicalWrite(victim, "fresh"))
         db.finish_instant_restore()
@@ -148,7 +148,7 @@ class TestInstantRestoreLifecycle:
         db, pages = build_db()
         expected = db.oracle.state()
         db.media_failure()
-        manager = db.begin_instant_restore(eager=False)
+        manager = db.begin_instant_restore()
         assert db.metrics.time_to_first_query_ms == 0.0
         assert db.read(pages[3]) == expected[pages[3]]
         assert db.metrics.time_to_first_query_ms > 0.0
@@ -163,7 +163,7 @@ class TestInstantRestoreLifecycle:
         tracer = Tracer()
         db.attach_tracer(tracer)
         db.media_failure()
-        db.begin_instant_restore(eager=False)
+        db.begin_instant_restore()
         db.read(pages[0])
         db.finish_instant_restore()
         phases = [
@@ -188,7 +188,7 @@ class TestInstantRestoreLifecycle:
     def test_drain_is_idempotent(self):
         db, _ = build_db()
         db.media_failure()
-        manager = db.begin_instant_restore(workers=2)
+        manager = db.begin_instant_restore()
         outcome = db.finish_instant_restore()
         assert manager.drain() is outcome
         assert manager.complete
@@ -206,7 +206,7 @@ class TestBulkDrain:
         """The drain never touches a page traffic already restored."""
         db, pages = build_db()
         db.media_failure()
-        db.begin_instant_restore(eager=False)
+        db.begin_instant_restore()
         victim = pages[3]  # rewritten by the post-backup tail too
         db.read(victim)  # restored on demand
         db.execute(PhysicalWrite(victim, "fresh"))
@@ -234,7 +234,7 @@ class TestBulkDrain:
         seed = pages[20]  # not rewritten by the tail: stays lost
         rot_backup_page(backup, seed)
         db.media_failure()
-        db.begin_instant_restore(eager=False)
+        db.begin_instant_restore()
         db.read(pages[0])
         outcome = db.finish_instant_restore()
         assert outcome.quarantined == [seed]
@@ -257,15 +257,15 @@ class TestDrainIsBulk:
         for i in range(2000):
             db.execute(PhysicalWrite(tail[i % len(tail)], ("tail", i)))
         db.media_failure()
-        manager = db.begin_instant_restore(eager=False)
+        manager = db.begin_instant_restore()
 
         single_page = Counter()
         restore_page = manager._restore_page_locked
         install_version = db.stable.install_version
 
-        def counting_restore(pid, source):
+        def counting_restore(pid):
             single_page["restore"] += 1
-            return restore_page(pid, source)
+            return restore_page(pid)
 
         def counting_install(page_id, version):
             single_page["install"] += 1

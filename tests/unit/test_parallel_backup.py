@@ -1,6 +1,6 @@
 """The thread-parallel partitioned sweep: byte-identical equivalence.
 
-The parallel engine (``ParallelBackupRun``) fans the batched sweep's
+A ``BackupRun`` with ``workers > 1`` fans the batched sweep's
 per-partition span *reads* out to a thread pool but keeps all planning,
 D/P frontier movement, and backup recording on the coordinator thread in
 the serial schedule order.  The contract is therefore strict: a
@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro import ParallelBackupEngine
+from repro.core import backup_engine
 from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import ReproError
@@ -112,15 +112,24 @@ class TestParallelUnderFaults:
 
 
 class TestParallelEngineSurface:
-    def test_parallel_engine_defaults_workers(self):
+    def test_parallel_engine_defaults_workers(self, monkeypatch):
+        """Runs default to one worker, which reads spans inline and never
+        builds a pool; ``workers=2`` reads them on a two-thread pool."""
         db = Database(pages_per_partition=[8, 8], policy="general")
-        engine = ParallelBackupEngine(db.cm, workers=2)
-        run = engine.start_backup(steps=2)
-        assert run.workers == 2
-        while not run.finished_copying:
-            run.copy_some(4)
-        run.seal()
-        assert run.backup.copied_count() == 16
+        pools = []
+        real = backup_engine.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backup_engine, "ThreadPoolExecutor", recording)
+        for kwargs, built in (({}, []), ({"workers": 2}, [2])):
+            run = db.engine.start_backup(steps=2, **kwargs)
+            assert run.workers == (kwargs.get("workers") or 1)
+            backup = db.engine.run_to_completion(4)
+            assert backup.copied_count() == 16
+            assert pools == built
 
     def test_workers_require_batched(self):
         with pytest.raises(ReproError):

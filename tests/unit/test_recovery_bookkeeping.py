@@ -189,13 +189,15 @@ class TestCleanRecoveryWalksNoValue:
         assert outcome.ok and set(outcome.state) == written
         db.close()
 
-    @pytest.mark.parametrize("eager", [False, True])
-    def test_instant(self, backend, eager, tmp_path, no_poison_walk):
+    @pytest.mark.parametrize("read_all", [False, True])
+    def test_instant(self, backend, read_all, tmp_path, no_poison_walk):
+        """A handful of pages, or every written one, restored on demand
+        before the drain restores the rest."""
         db, written = fixed_tail_db(1024, backend, str(tmp_path))
         expected = db.oracle_state()
         db.media_failure()
-        db.begin_instant_restore(eager=eager)
-        for page in sorted(written)[:5]:
+        db.begin_instant_restore()
+        for page in sorted(written)[:None if read_all else 5]:
             assert db.read(page) == expected[page]
         outcome = db.finish_instant_restore()
         assert outcome.ok
@@ -269,7 +271,7 @@ def test_poison_carried_by_clean_records_is_reported(flavour, monkeypatch):
         outcome = db.media_recover(verify=False)
     else:
         db.media_failure()
-        db.begin_instant_restore(verify=False, eager=False)
+        db.begin_instant_restore(verify=False)
         # Restored on demand: the install rules still format B.
         assert db.read(b) == db.initial_value
         outcome = db.finish_instant_restore()
