@@ -12,7 +12,11 @@ space so the flush policies stay meaningful.  A page outside the set that
 is flushed while still "pending" would silently miss the backup, so the
 run either (a) treats it as Done — forcing Iw/oF (conservative), or
 (b) with ``dynamic_extend`` adds it to the copy set on the spot, since
-the frontier has yet to reach it.
+the frontier has yet to reach it.  The copy set is held as one sorted
+slot list per partition, and an incremental ``copy_some`` is planned
+from those lists in closed form: it costs the copied pages and the step
+boundaries crossed, never the positions the frontier skips.  No sweep
+path builds a ``PageId``; every id comes from the layout.
 
 Section 3.4 observes that disjoint partitions with partition-local D/P
 bounds "permit us to back up partitions in parallel".  A run with
@@ -28,8 +32,10 @@ work).
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from typing import TYPE_CHECKING
 
@@ -43,14 +49,21 @@ from repro.storage.backup_db import BackupDatabase
 
 
 class BackupRun:
-    """State of one in-progress backup sweep."""
+    """State of one in-progress backup sweep.
+
+    A full run copies every page.  An incremental run (``update_set``
+    given) copies only its copy set, held once as per-partition sorted
+    slot lists (``_copy_slots``); pages of ``update_set`` outside the
+    layout are ignored, since the frontier never reaches them.  Either
+    way the frontier crosses every position in ``steps`` coarse steps.
+    """
 
     def __init__(
         self,
         cm: "CacheManager",
         backup: BackupDatabase,
         steps: int,
-        update_set: Optional[Set[PageId]] = None,
+        update_set: Optional[Iterable[PageId]] = None,
         dynamic_extend: bool = True,
         batched: bool = True,
         workers: int = 1,
@@ -68,10 +81,18 @@ class BackupRun:
         # Span-read threads for the batched path; 1 reads inline.
         self.workers = workers
         self._pool: Optional[ThreadPoolExecutor] = None
-        # None means full backup: copy everything.
-        self.copy_set: Optional[Set[PageId]] = (
-            set(update_set) if update_set is not None else None
-        )
+        # None means full backup: copy everything.  Otherwise, per
+        # partition, the sorted slots of the pages to copy.
+        self._copy_slots: Optional[List[List[int]]] = None
+        if update_set is not None:
+            members = [set() for _ in range(self.layout.num_partitions)]
+            for page_id in update_set:
+                if self.layout.contains(page_id):
+                    members[page_id[0]].add(page_id[1])
+            self._copy_slots = [sorted(slots) for slots in members]
+        # Serializes dynamic extensions of the copy set between flushing
+        # threads (each holds only its partition's shared latch).
+        self._extend_lock = threading.Lock()
         self.skipped_pages = 0
         self._boundaries: Dict[int, List[int]] = {}
         self._step_index: Dict[int, int] = {}
@@ -87,7 +108,7 @@ class BackupRun:
                 backup_id=backup.backup_id,
                 steps=steps,
                 batched=batched,
-                incremental=self.copy_set is not None,
+                incremental=self._copy_slots is not None,
                 scan_start=backup.media_scan_start_lsn,
             )
         for partition in range(self.layout.num_partitions):
@@ -97,7 +118,7 @@ class BackupRun:
             self._cursor[partition] = 0
             with cm.progress_transaction(partition) as progress:
                 progress.begin(boundaries[0])
-        if self.copy_set is not None:
+        if self._copy_slots is not None:
             self.cm.copy_set_filter = self.will_copy
 
     # ------------------------------------------------------------- filtering
@@ -107,18 +128,34 @@ class BackupRun:
 
         Called by the cache manager under the partition's shared latch,
         so the progress values are stable while we consult them.
+        Membership is a bisection of the partition's sorted slot list.
+        With ``dynamic_extend``, a page the frontier has not reached yet
+        (position at or past P) joins the copy set, inserted in order;
+        the plan copies it when the frontier gets there.
         """
-        if self.copy_set is None or page_id in self.copy_set:
+        if self._copy_slots is None:
+            return True
+        partition, slot = page_id
+        if self._holds(partition, slot):
             return True
         if not self.dynamic_extend:
             return False
-        progress = self.cm.progress[page_id.partition]
-        position = self.layout.position(page_id)
-        if progress.active and position >= progress.pending:
+        progress = self.cm.progress[partition]
+        if progress.active and slot >= progress.pending:
             # Frontier has not reached it: extend the copy set.
-            self.copy_set.add(page_id)
+            with self._extend_lock:
+                slots = self._copy_slots[partition]
+                index = bisect_left(slots, slot)
+                if index == len(slots) or slots[index] != slot:
+                    slots.insert(index, slot)
             return True
         return False
+
+    def _holds(self, partition: int, slot: int) -> bool:
+        """Is ``(partition, slot)`` in the copy set?"""
+        slots = self._copy_slots[partition]
+        index = bisect_left(slots, slot)
+        return index < len(slots) and slots[index] == slot
 
     # --------------------------------------------------------------- copying
 
@@ -165,28 +202,31 @@ class BackupRun:
             for partition in range(self.layout.num_partitions):
                 if copied >= pages:
                     break
-                if self._copy_next(partition):
+                outcome = self._copy_next(partition)
+                if outcome is not None:
                     advanced = True
-                    cursor = self._cursor[partition]
-                    page_id = PageId(partition, cursor - 1)
-                    if self.copy_set is None or page_id in self.copy_set:
-                        copied += 1
+                    copied += outcome
             if not advanced:
                 break
         return copied
 
-    def _copy_next(self, partition: int) -> bool:
-        """Copy (or skip) the next page of ``partition``; advance steps."""
-        size = self.layout.partition_size(partition)
+    def _copy_next(self, partition: int) -> Optional[bool]:
+        """Copy (or skip) the next page of ``partition``; advance steps.
+
+        Returns whether the page was copied, or None once the partition
+        is exhausted.
+        """
+        pages = self.layout.pages_in_partition(partition)
         cursor = self._cursor[partition]
-        if cursor >= size:
-            return False
+        if cursor >= len(pages):
+            return None
         progress = self.cm.progress[partition]
         if cursor >= progress.pending:
             # Current step's doubt region exhausted: advance under latch.
             self._advance_step(partition)
-        page_id = PageId(partition, cursor)
-        if self.copy_set is None or page_id in self.copy_set:
+        copy = self._copy_slots is None or self._holds(partition, cursor)
+        if copy:
+            page_id = pages[cursor]
             metrics = self.cm.metrics
             version = with_retries(
                 lambda: self.cm.stable.read_page(page_id), metrics=metrics
@@ -200,7 +240,7 @@ class BackupRun:
             self.skipped_pages += 1
         self._cursor[partition] = cursor + 1
         self._remaining_total -= 1
-        return True
+        return copy
 
     # ------------------------------------------------------- batched copying
 
@@ -226,10 +266,10 @@ class BackupRun:
         caller unwinds into crash recovery.
         """
         spans: List[tuple] = []
-        if self.copy_set is None:
+        if self._copy_slots is None:
             copied = self._plan_full(pages, spans)
         else:
-            copied = self._plan_filtered(pages, spans)
+            copied = self._plan_incremental(pages, spans)
         if not spans:
             return copied
         metrics = self.cm.metrics
@@ -258,12 +298,10 @@ class BackupRun:
 
     def _bulk_read(self, span, metrics):
         partition, start, stop = span
+        page_ids = self.layout.pages_in_partition(partition)[start:stop]
         stable = self.cm.stable
         return with_retries(
-            lambda: stable.read_pages(
-                [PageId(partition, slot) for slot in range(start, stop)]
-            ),
-            metrics=metrics,
+            lambda: stable.read_pages(page_ids), metrics=metrics
         )
 
     def _bulk_read_shared(self, span, shard):
@@ -377,51 +415,91 @@ class BackupRun:
             left -= run
         self._cursor[partition] = pos
 
-    def _plan_filtered(self, budget: int, spans: List[tuple]) -> int:
-        """Plan an incremental batch: the serial schedule page by page.
+    def _plan_incremental(self, budget: int, spans: List[tuple]) -> int:
+        """Plan an incremental batch from the copy set, in closed form.
 
-        Membership in the copy set must be tested per page, so the plan
-        walks the round-robin schedule exactly — but only with integer
-        work, coalescing consecutive copied pages into spans for the bulk
-        read/record stage.
+        The serial sweep visits position ``cursor + r`` of every
+        partition in round ``r``, partitions in index order, and stops
+        right after its ``budget``-th copy.  So the copy events of this
+        call are the copy slots at or past each cursor, ordered by
+        ``(slot - cursor, partition)``; the ``budget``-th one fixes where
+        every cursor stops (with fewer, the sweep runs to the end).
+        Cursors, skips and the remaining count follow by arithmetic, and
+        D/P advance under the exclusive latch at the same frontier
+        positions as in the serial sweep.
+
+        The spans are the contiguous copied runs, emitted in the order
+        the serial sweep would coalesce them: runs closed by a later copy
+        in their partition, by ``(next copy - cursor, partition)``, then
+        the runs still open at the stop, by their partition's first copy.
+        Cost: the copy slots consulted plus the step boundaries crossed.
         """
+        if budget <= 0:
+            return 0
         num_partitions = self.layout.num_partitions
-        sizes = [
-            self.layout.partition_size(p) for p in range(num_partitions)
-        ]
-        progress_map = self.cm.progress
-        copy_set = self.copy_set
-        open_spans: Dict[int, List[int]] = {}
+        cursors = self._cursor
+        copy_slots = self._copy_slots
+        # An event key ``(slot - cursor) * num_partitions + partition``
+        # orders copy events as the serial round-robin meets them.  At
+        # most ``budget`` events per partition can fall in this call.
+        events: List[int] = []
+        for partition in range(num_partitions):
+            cursor = cursors[partition]
+            slots = copy_slots[partition]
+            lo = bisect_left(slots, cursor)
+            events.extend(
+                (slot - cursor) * num_partitions + partition
+                for slot in slots[lo:lo + budget]
+            )
+        stop: Optional[int] = None
+        if len(events) >= budget:
+            events.sort()
+            stop = events[budget - 1]
+        closed: List[tuple] = []
+        still_open: List[tuple] = []
         copied = 0
-        while copied < budget and self._remaining_total > 0:
-            advanced = False
-            for partition in range(num_partitions):
-                if copied >= budget:
-                    break
-                pos = self._cursor[partition]
-                if pos >= sizes[partition]:
-                    continue
-                progress = progress_map[partition]
-                if pos >= progress.pending:
-                    self._advance_step(partition)
-                if PageId(partition, pos) in copy_set:
-                    span = open_spans.get(partition)
-                    if span is not None and span[1] == pos:
-                        span[1] = pos + 1
-                    else:
-                        if span is not None:
-                            spans.append((partition, span[0], span[1]))
-                        open_spans[partition] = [pos, pos + 1]
-                    copied += 1
-                else:
-                    self.skipped_pages += 1
-                self._cursor[partition] = pos + 1
-                self._remaining_total -= 1
-                advanced = True
-            if not advanced:
-                break
-        for partition, span in open_spans.items():
-            spans.append((partition, span[0], span[1]))
+        for partition in range(num_partitions):
+            cursor = cursors[partition]
+            size = self.layout.partition_size(partition)
+            if stop is None:
+                end = size
+            else:
+                rounds = stop // num_partitions
+                if partition <= stop % num_partitions:
+                    rounds += 1
+                end = min(size, cursor + rounds)
+            if end <= cursor:
+                continue
+            progress = self.cm.progress[partition]
+            while progress.pending < end:
+                self._advance_step(partition)
+            # Read the copied slots only now, with P past ``end``: a
+            # concurrent flush could extend the set below P until then.
+            slots = copy_slots[partition]
+            taken = slots[bisect_left(slots, cursor):bisect_left(slots, end)]
+            cursors[partition] = end
+            self._remaining_total -= end - cursor
+            self.skipped_pages += end - cursor - len(taken)
+            if not taken:
+                continue
+            copied += len(taken)
+            run_start = previous = taken[0]
+            for slot in taken:
+                if slot > previous + 1:
+                    closed.append((
+                        (slot - cursor) * num_partitions + partition,
+                        (partition, run_start, previous + 1),
+                    ))
+                    run_start = slot
+                previous = slot
+            still_open.append((
+                (taken[0] - cursor) * num_partitions + partition,
+                (partition, run_start, previous + 1),
+            ))
+        closed.sort()
+        still_open.sort()
+        spans.extend(span for _key, span in closed)
+        spans.extend(span for _key, span in still_open)
         return copied
 
     def _advance_step(self, partition: int) -> None:

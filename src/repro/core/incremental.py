@@ -12,7 +12,10 @@ Soundness sketch (matching the paper's two aspects):
 2. every page updated since the base is in some incremental's copy set
    and was either captured fuzzily by that sweep or its operations are at
    or after that sweep's scan-start truncation point — the same Iw/oF and
-   progress-tracking machinery as a full backup guarantees order.
+   progress-tracking machinery as a full backup guarantees order.  A
+   sweep that aborts (crash, media failure) hands its copy set back to
+   ``Database.updated_since_backup``, so the pages it owed reach the
+   next incremental.
 """
 
 from __future__ import annotations

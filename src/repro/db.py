@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Any, List, Optional, Sequence, Set, Union
+from typing import Any, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.cache_manager import CacheManager
 from repro.core.backup_engine import BackupEngine, BackupRun
@@ -182,6 +182,10 @@ class Database:
         # Pages updated since the last completed full/incremental backup,
         # for incremental update-set capture (section 6.1).
         self.updated_since_backup: Set[PageId] = set()
+        # The active engine sweep and the pages it took over from
+        # updated_since_backup: an aborted sweep hands them back, so only
+        # a seal discharges them.
+        self._sweep_owed: Optional[Tuple[BackupRun, Set[PageId]]] = None
         # Which engine the active backup belongs to ("engine"/"naive").
         self._backup_engine_kind = "engine"
         # The log-structured archive tier, attached on demand
@@ -446,8 +450,17 @@ class Database:
             run = self.engine.start_backup(
                 steps=cfg.steps, batched=cfg.batched, workers=cfg.workers,
             )
+        self._sweep_owed = (run, self.updated_since_backup)
         self.updated_since_backup = set()
         return run
+
+    def _abort_backup(self) -> None:
+        """Abort the active engine sweep, if any.  The pages updated
+        before it started are owed to the next generation again."""
+        owed, self._sweep_owed = self._sweep_owed, None
+        if owed is not None and self.engine.active is owed[0]:
+            self.updated_since_backup |= owed[1]
+        self.engine.abort_active()
 
     def backup_step(self, pages: int = 8) -> int:
         """Copy some pages of the active backup; returns pages copied."""
@@ -592,7 +605,7 @@ class Database:
         recovery from the generation it had chosen.
         """
         lost = self.log.discard_unflushed()
-        self.engine.abort_active()
+        self._abort_backup()
         restore = self.retention.active_restore
         if restore is not None:
             self._interrupted_restore = restore.chosen
@@ -773,7 +786,7 @@ class Database:
 
     def media_failure(self) -> None:
         """The stable medium fails; S becomes inaccessible."""
-        self.engine.abort_active()
+        self._abort_backup()
         self.stable.fail_media()
         self.cm.crash()
         if self.tracer.enabled:
@@ -925,7 +938,7 @@ class Database:
 
     def fail_partition(self, partition: int) -> None:
         """Partial media failure: one partition becomes unreadable."""
-        self.engine.abort_active()
+        self._abort_backup()
         self.stable.fail_partition(partition)
         if self.tracer.enabled:
             self.tracer.emit(

@@ -420,12 +420,14 @@ def _bench_incremental_sweep() -> Callable[[], object]:
     """Incremental archive sweep at 10% churn on a 4096-page database.
 
     The archive tier's scaling claim: an incremental generation costs
-    pages-dirtied, not database-size.  Setup seeds all 64x64 pages and
-    seals a base full backup; each round dirties ~10% of the pages
-    (409), runs an incremental sweep, and pins the copy set — every
-    dirtied page captured, and at least 5x fewer pages than the full
-    sweep would copy.  The chain is trimmed back to the base between
-    rounds so every round measures exactly one link.
+    pages-dirtied, not database-size — in pages copied and in time, as
+    the sweep plans from the copy set and never visits the positions it
+    skips.  Setup seeds all 64x64 pages and seals a base full backup;
+    each round dirties ~10% of the pages (409 ``execute`` calls, timed
+    with the round), runs an incremental sweep, and pins the copy set —
+    every dirtied page captured, and at least 5x fewer pages than the
+    full sweep would copy.  The chain is trimmed back to the base
+    between rounds so every round measures exactly one link.
     """
     import random
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import BackupError
 from repro.ids import PageId
@@ -52,8 +53,8 @@ class TestArchiveRoundtrip:
         for slot in range(8):
             db.execute(PhysicalWrite(pid(slot), ("v", slot)))
         db.checkpoint()
-        db.start_backup(steps=2)
-        return db, db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=2))
+        return db, db.run_backup(BackupConfig(pages_per_tick=16))
 
     def test_save_and_load(self, tmp_path):
         db, backup = self._backed_up_db()
@@ -82,7 +83,7 @@ class TestArchiveRoundtrip:
 
     def test_incomplete_backup_not_archivable(self, tmp_path):
         db = Database(pages_per_partition=[16], policy="general")
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         run = db.engine.active
         with pytest.raises(BackupError):
             save_backup(run.backup, str(tmp_path / "x.json"))
@@ -97,8 +98,8 @@ class TestArchiveRoundtrip:
     def test_base_backup_id_preserved(self, tmp_path):
         db, full = self._backed_up_db()
         db.execute(PhysicalWrite(pid(1), ("changed",)))
-        db.start_backup(steps=2, incremental=True)
-        incremental = db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=2, incremental=True))
+        incremental = db.run_backup(BackupConfig(pages_per_tick=16))
         path = str(tmp_path / "incr.json")
         save_backup(incremental, path)
         loaded = load_backup(path)

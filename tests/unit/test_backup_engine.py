@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import BackupError, BackupInProgressError
 from repro.ids import PageId
@@ -19,13 +20,13 @@ def db():
 
 class TestBackupLifecycle:
     def test_copy_order_follows_backup_order(self, db):
-        db.start_backup(steps=4)
-        backup = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=4))
+        backup = db.run_backup(BackupConfig(pages_per_tick=8))
         assert backup.copy_order() == list(db.layout.all_pages())
         assert backup.is_complete
 
     def test_progress_tracks_steps(self, db):
-        run = db.start_backup(steps=4)
+        run = db.start_backup(BackupConfig(steps=4))
         progress = db.cm.progress[0]
         assert (progress.done, progress.pending) == (0, 8)
         db.backup_step(8)
@@ -37,11 +38,11 @@ class TestBackupLifecycle:
         assert progress.steps_taken == 4
 
     def test_second_backup_needs_first_sealed(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         with pytest.raises(BackupInProgressError):
-            db.start_backup(steps=2)
+            db.start_backup(BackupConfig(steps=2))
         db.run_backup()
-        db.start_backup(steps=2)  # now fine
+        db.start_backup(BackupConfig(steps=2))  # now fine
 
     def test_scan_start_is_truncation_point(self, db):
         db.execute(PhysicalWrite(pid(0), "a"))   # LSN 1, dirty
@@ -58,7 +59,7 @@ class TestBackupLifecycle:
 
     def test_completion_lsn_recorded(self, db):
         db.execute(PhysicalWrite(pid(0), "a"))
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         assert backup.completion_lsn == db.log.end_lsn
 
@@ -67,12 +68,12 @@ class TestBackupLifecycle:
             db.engine.copy_some(1)
 
     def test_seal_before_finished_rejected(self, db):
-        run = db.start_backup(steps=2)
+        run = db.start_backup(BackupConfig(steps=2))
         with pytest.raises(BackupError):
             run.seal()
 
     def test_abort_resets_progress(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         db.backup_step(4)
         db.engine.abort_active()
         assert not db.cm.progress[0].active
@@ -87,7 +88,7 @@ class TestFuzziness:
         for slot in range(32):
             db.execute(PhysicalWrite(pid(slot), ("old", slot)))
         db.checkpoint()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.backup_step(16)  # first half copied
         for slot in range(32):
             db.execute(PhysicalWrite(pid(slot), ("new", slot)))
@@ -100,7 +101,7 @@ class TestFuzziness:
 class TestMultiPartition:
     def test_partitions_swept_in_parallel(self):
         db = Database(pages_per_partition=[8, 8], policy="general")
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         db.backup_step(4)
         backup = db.engine.active.backup
         copied_partitions = {p.partition for p in backup.copy_order()}
@@ -110,7 +111,7 @@ class TestMultiPartition:
 
     def test_per_partition_latches(self):
         db = Database(pages_per_partition=[8, 8], policy="general")
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         db.run_backup()
         assert db.cm.latches[0].exclusive_acquisitions >= 2
         assert db.cm.latches[1].exclusive_acquisitions >= 2

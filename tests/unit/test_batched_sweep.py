@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import BackupError, MediaFailureError, PageNotFoundError
 from repro.ids import PageId
@@ -29,18 +30,18 @@ def run_sweep(batched, incremental=False, dynamic_extend=True):
     for _ in range(40):
         db.execute(next(source))
     if incremental:
-        db.start_backup(steps=4, batched=batched)
-        db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=4, batched=batched))
+        db.run_backup(BackupConfig(pages_per_tick=16))
         for _ in range(25):
             db.execute(next(source))
-        db.start_backup(
+        db.start_backup(BackupConfig(
             steps=4,
             incremental=True,
             dynamic_extend=dynamic_extend,
             batched=batched,
-        )
+        ))
     else:
-        db.start_backup(steps=4, batched=batched)
+        db.start_backup(BackupConfig(steps=4, batched=batched))
     rng = random.Random(5)
 
     def tick():
@@ -48,7 +49,7 @@ def run_sweep(batched, incremental=False, dynamic_extend=True):
             db.execute(next(source))
         db.install_some(2, rng)
 
-    backup = db.run_backup(pages_per_tick=7, tick=tick)
+    backup = db.run_backup(BackupConfig(pages_per_tick=7), tick=tick)
     return db, backup
 
 
@@ -89,10 +90,10 @@ class TestSerialEquivalence:
     def test_per_call_override(self):
         """A batched run can take serial steps (and vice versa) mid-sweep."""
         db = Database(pages_per_partition=[16], policy="general")
-        run = db.start_backup(steps=2, batched=True)
+        run = db.start_backup(BackupConfig(steps=2, batched=True))
         run.copy_some(5, batched=False)
         run.copy_some(5)  # run default: batched
-        db.run_backup(pages_per_tick=4)
+        db.run_backup(BackupConfig(pages_per_tick=4))
         assert db.latest_backup().copied_count() == 16
 
 
