@@ -450,16 +450,23 @@ class CacheManager:
             )
         return installed
 
-    def install_some(self, count: int, rng) -> int:
-        """Install up to ``count`` randomly chosen installable nodes."""
-        # Drawn over the graph's ordered ready index itself: the same
-        # draw as over installable_nodes(), without materialising it.
+    def install_some(self, count: int, rng=None) -> int:
+        """Install up to ``count`` installable nodes; returns how many.
+
+        Without ``rng`` the oldest ready node (lowest first LSN,
+        ``ready_index[0]``) goes first, like a flush list ordered by
+        oldest modification: each install can advance the minimum
+        recLSN, so crash redo covers the flush lag rather than all the
+        log since the last checkpoint.  With ``rng`` each pick is
+        ``rng.choice`` over the ready index, for callers that sample
+        install orders.
+        """
         ready = self.graph.ready_index
         installed = 0
         for _ in range(count):
             if not ready:
                 break
-            _, node_id = rng.choice(ready)
+            _, node_id = ready[0] if rng is None else rng.choice(ready)
             self.install_node(self.graph.node(node_id))
             installed += 1
         return installed

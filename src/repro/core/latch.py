@@ -17,6 +17,12 @@ thread the latch remains a protocol verifier, and the engine/cache-manager
 code paths are written so the discipline is exercised on every progress
 change and every flush.  Hold counts are tracked so tests can assert the
 discipline.
+
+Exclusive requests are preferred: once one is waiting, a new shared
+acquire waits behind it, so a steady stream of overlapping flushes cannot
+starve a D/P move.  A thread that already holds the latch shared may
+still re-enter shared (it would otherwise wait on a request that waits on
+it).
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ class BackupLatch:
         # Thread ident -> number of shared holds by that thread.
         self._shared_by: Dict[int, int] = {}
         self._exclusive_owner: Optional[int] = None
+        # Threads blocked in acquire_exclusive (new shared holds wait).
+        self._exclusive_waiting = 0
         # Acquisition counters for tests.
         self.shared_acquisitions = 0
         self.exclusive_acquisitions = 0
@@ -48,12 +56,14 @@ class BackupLatch:
     def acquire_shared(self) -> None:
         me = threading.get_ident()
         with self._cond:
-            while self._exclusive_owner is not None:
-                if self._exclusive_owner == me:
-                    raise LatchError(
-                        f"partition {self.partition}: shared acquire while "
-                        "held exclusive (backup is moving D/P)"
-                    )
+            if self._exclusive_owner == me:
+                raise LatchError(
+                    f"partition {self.partition}: shared acquire while "
+                    "held exclusive (backup is moving D/P)"
+                )
+            while self._exclusive_owner is not None or (
+                self._exclusive_waiting and me not in self._shared_by
+            ):
                 self._cond.wait()
             self._shared_by[me] = self._shared_by.get(me, 0) + 1
             self.shared_acquisitions += 1
@@ -104,7 +114,11 @@ class BackupLatch:
                     )
                 if self._exclusive_owner is None and not self._shared_by:
                     break
-                self._cond.wait()
+                self._exclusive_waiting += 1
+                try:
+                    self._cond.wait()
+                finally:
+                    self._exclusive_waiting -= 1
             self._exclusive_owner = me
             self.exclusive_acquisitions += 1
         if self.tracer.enabled:

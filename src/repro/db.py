@@ -354,7 +354,10 @@ class Database:
         return self.cm.checkpoint()
 
     def install_some(self, count: int, rng: Optional[random.Random] = None) -> int:
-        return self.cm.install_some(count, rng or random.Random(0))
+        """Install up to ``count`` ready write-graph nodes, oldest first,
+        or by ``rng.choice`` when an ``rng`` is given (see
+        :meth:`CacheManager.install_some`)."""
+        return self.cm.install_some(count, rng)
 
     # ---------------------------------------------------------------- backup
 

@@ -10,6 +10,7 @@ paper's protocol closes a real, reachable hole.
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.logical import CopyOp
@@ -43,7 +44,7 @@ def split_scenario(engine_kind, steps=4):
         db.execute(PhysicalWrite(old, records))
         db.checkpoint()
         if engine_kind == "engine":
-            db.start_backup(steps=steps)
+            db.start_backup(BackupConfig(steps=steps))
             copy_track = [lambda: db.backup_step(4) for _ in range(4)]
         else:
             db.naive.start_backup()
@@ -97,7 +98,7 @@ def copy_chain_scenario():
         a, b, c = PageId(0, 2), PageId(0, 7), PageId(0, 10)
         db.execute(PhysicalWrite(a, ("seed",)))
         db.checkpoint()
-        db.start_backup(steps=3)
+        db.start_backup(BackupConfig(steps=3))
         op_track = [
             lambda: db.execute(CopyOp(a, b)),
             lambda: db.execute(PhysiologicalWrite(a, "stamp", (1,))),

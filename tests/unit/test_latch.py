@@ -159,3 +159,88 @@ class TestCrossThread:
         assert not latch.held_shared and not latch.held_exclusive
         assert latch.shared_acquisitions == 3 * rounds
         assert latch.exclusive_acquisitions == 2 * rounds
+
+
+
+def wait_until(predicate, timeout=5.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+def exclusive_waiting(latch):
+    return getattr(latch, "_exclusive_waiting", 0)
+
+
+class TestWriterPreference:
+    """A waiting exclusive request (a D/P move) blocks new shared holders,
+    so overlapping flushes cannot starve the backup.  Helper threads are
+    daemons and the main thread drops its hold on every exit, so a
+    failing check cannot leave a thread blocked on the latch."""
+
+    def test_new_shared_waits_behind_a_waiting_exclusive(self, latch):
+        order = []
+        b_release = threading.Event()
+
+        def b():
+            latch.acquire_exclusive()
+            order.append("B acquired")
+            b_release.wait(timeout=5)
+            order.append("B released")
+            latch.release_exclusive()
+
+        def c():
+            latch.acquire_shared()
+            order.append("C acquired")
+            latch.release_shared()
+
+        thread_b = threading.Thread(target=b, daemon=True)
+        thread_c = threading.Thread(target=c, daemon=True)
+        latch.acquire_shared()  # thread A (this thread) holds shared
+        holding = True
+        try:
+            thread_b.start()
+            wait_until(lambda: exclusive_waiting(latch) == 1, timeout=1,
+                       what="B's exclusive request to be registered")
+            thread_c.start()
+            thread_c.join(timeout=0.05)
+            assert order == [], "C overtook the waiting exclusive"
+            latch.release_shared()  # A leaves: B is next, not C
+            holding = False
+            wait_until(lambda: order == ["B acquired"], what="B")
+            assert thread_c.is_alive()
+        finally:
+            if holding:
+                latch.release_shared()
+            b_release.set()
+            for thread in (thread_b, thread_c):
+                if thread.ident is not None:  # started
+                    thread.join(timeout=5)
+        assert not thread_b.is_alive() and not thread_c.is_alive()
+        assert order == ["B acquired", "B released", "C acquired"]
+
+    def test_shared_holder_reenters_past_a_waiting_exclusive(self, latch):
+        acquired = threading.Event()
+
+        def writer():
+            latch.acquire_exclusive()
+            acquired.set()
+            latch.release_exclusive()
+
+        thread = threading.Thread(target=writer, daemon=True)
+        latch.acquire_shared()
+        try:
+            thread.start()
+            wait_until(lambda: exclusive_waiting(latch) == 1, timeout=1,
+                       what="the writer's request to be registered")
+            # Must not wait on the writer that is waiting on this hold.
+            latch.acquire_shared()
+            assert latch.shared_acquisitions == 2
+            latch.release_shared()
+            assert not acquired.is_set()
+        finally:
+            latch.release_shared()
+            thread.join(timeout=5)
+        assert acquired.is_set()
+        assert exclusive_waiting(latch) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.core.progress import PartitionProgress
 from repro.db import Database
 from repro.ids import PageId
@@ -62,7 +63,7 @@ class TestDatabaseExtras:
         db = Database(pages_per_partition=[8])
         db.execute(PhysicalWrite(pid(0), "v1"))
         db.checkpoint()
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         target = db.log.end_lsn
         db.execute(PhysicalWrite(pid(0), "v2"))
@@ -121,7 +122,7 @@ class TestStandbyExtras:
         from repro.errors import NoBackupError
 
         db = Database(pages_per_partition=[8])
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         run = db.engine.active
         with pytest.raises(NoBackupError):
             StandbyReplica.seed_from_backup(run.backup, db.log, db.layout)
