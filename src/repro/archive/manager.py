@@ -558,12 +558,11 @@ class ArchiveManager:
         outcome = run_recovery(
             "chain-heal",
             image,
-            db.log.merge_scan(base_scan, chain[index].completion_lsn),
+            db.log.scan(base_scan, chain[index].completion_lsn),
             stable=None,
             seeds=lost,
             initial_value=db.initial_value,
             metrics=db.metrics,
-            redo_workers=db.redo_workers,
         )
         # The state holds only what replay wrote (and the lost seeds);
         # a page it never rewrote is still as the overlay had it.

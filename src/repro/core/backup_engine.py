@@ -17,24 +17,12 @@ slot list per partition, and an incremental ``copy_some`` is planned
 from those lists in closed form: it costs the copied pages and the step
 boundaries crossed, never the positions the frontier skips.  No sweep
 path builds a ``PageId``; every id comes from the layout.
-
-Section 3.4 observes that disjoint partitions with partition-local D/P
-bounds "permit us to back up partitions in parallel".  A run with
-``workers > 1`` realizes that: planning (and every D/P move) stays on the
-calling thread, the planned span *reads* of one ``copy_some`` fan out to
-a ``concurrent.futures.ThreadPoolExecutor`` taking the per-partition
-latch shared, and the span *records* into B happen back on the calling
-thread in plan order — so a parallel sweep produces a byte-identical
-sealed backup to the inline one while overlapping the per-span device
-time of independent partitions (and, on multi-core hosts, their CRC
-work).
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from typing import Dict, Iterable, List, Optional
 
 from typing import TYPE_CHECKING
@@ -66,7 +54,6 @@ class BackupRun:
         update_set: Optional[Iterable[PageId]] = None,
         dynamic_extend: bool = True,
         batched: bool = True,
-        workers: int = 1,
     ):
         self.cm = cm
         self.backup = backup
@@ -78,9 +65,6 @@ class BackupRun:
         # strict round-robin order.  Both produce the same backup content
         # (only the copy *order* differs within a single copy_some call).
         self.batched = batched
-        # Span-read threads for the batched path; 1 reads inline.
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
         # None means full backup: copy everything.  Otherwise, per
         # partition, the sorted slots of the pages to copy.
         self._copy_slots: Optional[List[List[int]]] = None
@@ -254,46 +238,16 @@ class BackupRun:
         stable read and one bulk backup record per span.  No cache
         manager activity can interleave inside a single call, so the
         resulting backup content is identical to the serial path's.
-
-        With ``workers == 1`` each span is read inline just before it is
-        recorded.  With more, every span read is submitted to the thread
-        pool up front (each worker accumulates I/O-retry accounting into
-        a private metrics shard, absorbed deterministically), and the
-        records still happen here, in plan order, so the sealed image is
-        byte-identical.  A fault raised inside a worker propagates
-        through ``future.result()``; the remaining reads are cancelled
-        and awaited first, so no worker touches the stores while the
-        caller unwinds into crash recovery.
+        Each span is read just before it is recorded.
         """
         spans: List[tuple] = []
         if self._copy_slots is None:
             copied = self._plan_full(pages, spans)
         else:
             copied = self._plan_incremental(pages, spans)
-        if not spans:
-            return copied
         metrics = self.cm.metrics
-        if self.workers == 1:
-            for span in spans:
-                self._record_span(span, self._bulk_read(span, metrics))
-            return copied
-        pool = self._ensure_pool()
-        shards = [metrics.shard() for _ in spans]
-        futures = [
-            pool.submit(self._bulk_read_shared, span, shard)
-            for span, shard in zip(spans, shards)
-        ]
-        try:
-            for span, future in zip(spans, futures):
-                self._record_span(span, future.result())
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            futures_wait(futures)
-            raise
-        finally:
-            for shard in shards:
-                metrics.absorb(shard)
+        for span in spans:
+            self._record_span(span, self._bulk_read(span, metrics))
         return copied
 
     def _bulk_read(self, span, metrics):
@@ -303,26 +257,6 @@ class BackupRun:
         return with_retries(
             lambda: stable.read_pages(page_ids), metrics=metrics
         )
-
-    def _bulk_read_shared(self, span, shard):
-        """Pool-thread body: one span read under the partition's shared
-        latch (coexisting with concurrent flushes, excluded by a D/P
-        move)."""
-        with self.cm.latches[span[0]].shared():
-            return self._bulk_read(span, shard)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix=f"backup-{self.backup.backup_id}",
-            )
-        return self._pool
-
-    def _shutdown_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def _record_span(self, span, entries) -> None:
         """Record one bulk span into B, surviving torn span writes.
@@ -525,7 +459,6 @@ class BackupRun:
         """Complete the backup: final D/P reset under the latches."""
         if self._sealed:
             raise BackupError("backup already sealed")
-        self._shutdown_pool()
         if not self.finished_copying:
             raise BackupError("seal() before all pages were copied")
         self.backup.complete(self.cm.log.end_lsn)
@@ -546,7 +479,6 @@ class BackupRun:
         return self.backup
 
     def abort(self) -> None:
-        self._shutdown_pool()
         self.backup.abort()
         for partition in range(self.layout.num_partitions):
             progress = self.cm.progress[partition]
@@ -616,16 +548,9 @@ class BackupEngine:
         base_backup: Optional[BackupDatabase] = None,
         dynamic_extend: bool = True,
         batched: bool = True,
-        workers: int = 1,
     ) -> BackupRun:
         if self.active is not None and not self.active.is_sealed:
             raise BackupInProgressError("a backup is already in progress")
-        if workers < 1:
-            raise BackupError("a backup run needs workers >= 1")
-        if workers > 1 and not batched:
-            raise BackupError(
-                "parallel sweeps (workers > 1) require batched=True"
-            )
         scan_start = self.cm.rec.truncation_point(self.cm.log.end_lsn)
         # The scan start may not exceed end_lsn + 1; for media recovery we
         # additionally never scan later than the backup's own start point.
@@ -641,7 +566,6 @@ class BackupEngine:
             update_set=update_set,
             dynamic_extend=dynamic_extend,
             batched=batched,
-            workers=workers,
         )
         self.active = run
         return run

@@ -8,8 +8,11 @@ a backup's shape can be named once, passed around, and compared; the
 legacy keyword signatures remain as deprecated aliases.
 
 >>> from repro.core.config import BackupConfig
->>> BackupConfig(steps=4, batched=False)
-BackupConfig(steps=4, pages_per_tick=8, incremental=False, dynamic_extend=True, batched=False, engine='engine', workers=1, log_streams=1, backend='memory', data_dir=None, incremental_every=None, compact_threshold=None, redo_workers=1)
+>>> BackupConfig(steps=4, batched=False)  # doctest: +NORMALIZE_WHITESPACE
+BackupConfig(steps=4, pages_per_tick=8, incremental=False,
+             dynamic_extend=True, batched=False, engine='engine',
+             backend='memory', data_dir=None, incremental_every=None,
+             compact_threshold=None)
 """
 
 from __future__ import annotations
@@ -40,24 +43,12 @@ class BackupConfig:
                          round-robin copying;
     ``engine``         — ``"engine"`` (section 3), ``"naive"`` (§1.2
                          fuzzy dump) or ``"linked"`` (§1.3 strawman);
-    ``workers``        — sweep thread count: 1 copies on the calling
-                         thread, >1 fans the batched span reads out to a
-                         thread pool (§3.4: disjoint partitions "permit
-                         us to back up partitions in parallel");
-    ``log_streams``    — WAL stream count for the database under test: 1
-                         keeps the plain single-stream
-                         :class:`~repro.wal.log_manager.LogManager`, >1
-                         stripes the log across that many streams with
-                         group commit
-                         (:class:`~repro.wal.multi_log.MultiLogManager`).
-                         A harness knob — it shapes the *database* the
-                         harnesses (faultsweep, experiments) construct,
-                         not the backup algorithm itself, which is
-                         stream-agnostic via ``merge_scan``;
     ``backend``        — storage backend: ``"memory"`` (python dicts) or
                          ``"file"`` (real fds, offsets and ``fsync``;
-                         see :mod:`repro.storage.file_backend`).  Like
-                         ``log_streams``, a harness knob resolved by
+                         see :mod:`repro.storage.file_backend`).  A
+                         harness knob — it shapes the *database* the
+                         harnesses construct, not the backup algorithm
+                         itself — resolved by
                          :func:`repro.storage.api.open_backend`;
     ``data_dir``       — directory for the file backend's page/log/backup
                          files (default: a fresh temporary directory);
@@ -68,19 +59,7 @@ class BackupConfig:
                          (``None`` = no automatic incrementals);
     ``compact_threshold`` — archive-tier scheduling knob: compact the
                          chain once it carries this many incremental
-                         links (``None`` = never compact automatically);
-    ``redo_workers``   — recovery replay thread count: 1 keeps the
-                         serial LSN-order
-                         :class:`~repro.recovery.redo.RedoReplayer`,
-                         >1 fans replay out to a dependency-aware
-                         worker pool
-                         (:class:`~repro.recovery.parallel_redo.ParallelRedoReplayer`)
-                         with byte-identical outcomes.  Like
-                         ``log_streams``, a harness knob — it shapes
-                         the ``Database`` the harnesses construct and
-                         reaches every recovery flavour (crash, media,
-                         chain, partition, selective, instant restore,
-                         PITR).
+                         links (``None`` = never compact automatically).
     """
 
     steps: int = 8
@@ -89,13 +68,10 @@ class BackupConfig:
     dynamic_extend: bool = True
     batched: bool = True
     engine: str = "engine"
-    workers: int = 1
-    log_streams: int = 1
     backend: str = "memory"
     data_dir: Optional[str] = None
     incremental_every: Optional[int] = None
     compact_threshold: Optional[int] = None
-    redo_workers: int = 1
 
     def __post_init__(self):
         if self.steps < 1:
@@ -111,19 +87,6 @@ class BackupConfig:
             raise ReproError(
                 "incremental backups require the section-3 engine"
             )
-        if self.workers < 1:
-            raise ReproError("BackupConfig.workers must be >= 1")
-        if self.workers > 1 and not self.batched:
-            raise ReproError(
-                "parallel sweeps (workers > 1) require batched=True: the "
-                "thread pool fans out the batched per-partition span reads"
-            )
-        if self.workers > 1 and self.engine != "engine":
-            raise ReproError(
-                "parallel sweeps (workers > 1) require the section-3 engine"
-            )
-        if self.log_streams < 1:
-            raise ReproError("BackupConfig.log_streams must be >= 1")
         if self.backend not in BACKENDS:
             raise ReproError(
                 f"unknown storage backend {self.backend!r}; choose from "
@@ -142,5 +105,3 @@ class BackupConfig:
             raise ReproError(
                 "BackupConfig.compact_threshold must be >= 1 (or None)"
             )
-        if self.redo_workers < 1:
-            raise ReproError("BackupConfig.redo_workers must be >= 1")

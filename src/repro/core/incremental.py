@@ -119,7 +119,6 @@ def run_media_recovery_chain(
     oracle: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=None,
-    redo_workers: int = 1,
     metrics=None,
 ) -> RecoveryOutcome:
     """Restore from a full+incremental chain and roll forward.
@@ -160,7 +159,7 @@ def run_media_recovery_chain(
     return run_recovery(
         "media-chain",
         pages,
-        log.merge_scan(scan_start, target),
+        log.scan(scan_start, target),
         stable=stable,
         restore=stable.restore_from,
         seeds=quarantine_seed,
@@ -168,6 +167,5 @@ def run_media_recovery_chain(
         initial_value=initial_value,
         tracer=tracer,
         metrics=metrics,
-        redo_workers=redo_workers,
         phase_fields={"restore": dict(scan_start_lsn=scan_start)},
     )

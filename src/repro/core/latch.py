@@ -6,9 +6,9 @@ read cannot change mid-flush.  Share mode lets a multi-threaded cache
 manager flush concurrently.
 
 The latch is genuinely thread-safe: it is a share/exclusive lock built on
-:class:`threading.Condition`, and the parallel backup engine's worker
-threads take it shared around their span reads while the planning thread
-takes it exclusive to move D/P.  Cross-thread conflicts **block** until
+:class:`threading.Condition`, so one backup thread beside the service can
+take it exclusive to move D/P while the service thread's flushes take it
+shared.  Cross-thread conflicts **block** until
 the latch frees, like any real latch.  Same-thread conflicts — acquiring
 exclusive while this thread already holds it shared, re-entering
 exclusive, releasing without a hold — can never be satisfied by waiting

@@ -48,7 +48,7 @@ def check_partition_confinement(
     """All records whose operation spans more than one partition."""
     return [
         record
-        for record in log.merge_scan(max(from_lsn, log.first_retained_lsn))
+        for record in log.scan(max(from_lsn, log.first_retained_lsn))
         if len(op_partitions(record)) > 1
     ]
 
@@ -61,7 +61,6 @@ def run_partition_media_recovery(
     oracle: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=None,
-    redo_workers: int = 1,
     metrics=None,
 ) -> RecoveryOutcome:
     """Restore one failed partition from ``backup`` and roll it forward.
@@ -82,7 +81,7 @@ def run_partition_media_recovery(
     # the precondition.
     relevant: List[LogRecord] = []
     offenders: List[LogRecord] = []
-    for record in log.merge_scan(backup.media_scan_start_lsn):
+    for record in log.scan(backup.media_scan_start_lsn):
         touched = op_partitions(record)
         if partition not in touched:
             continue
@@ -124,7 +123,6 @@ def run_partition_media_recovery(
         initial_value=initial_value,
         tracer=tracer,
         metrics=metrics,
-        redo_workers=redo_workers,
         phase_fields={"restore": dict(
             scan_start_lsn=backup.media_scan_start_lsn, pages=len(versions)
         )},

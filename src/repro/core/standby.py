@@ -92,7 +92,7 @@ class StandbyReplica:
         )
         if target <= self.applied_through:
             return 0
-        records = self.primary_log.merge_scan(self.applied_through + 1, target)
+        records = self.primary_log.scan(self.applied_through + 1, target)
         stats = self._replayer.replay(records, self._state)
         processed = target - self.applied_through
         self.applied_through = target

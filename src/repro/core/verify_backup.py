@@ -93,7 +93,7 @@ def validate_backup(
         )
         return report
     try:
-        records = list(log.merge_scan(backup.media_scan_start_lsn))
+        records = list(log.scan(backup.media_scan_start_lsn))
     except LogTruncatedError as exc:  # pragma: no cover - guarded above
         report.fatal("log-truncated", str(exc))
         return report

@@ -105,30 +105,14 @@ class Database:
         auto_force_log: bool = True,
         faults: Optional[FaultPlane] = None,
         tracer=None,
-        log_streams: int = 1,
         backend: str = "memory",
         data_dir: Optional[str] = None,
         storage=None,
-        redo_workers: int = 1,
     ):
-        """``log_streams=1`` (the default) keeps the plain single-stream
-        :class:`~repro.wal.log_manager.LogManager`; ``log_streams > 1``
-        stripes the WAL across that many independent streams with group
-        commit (:class:`~repro.wal.multi_log.MultiLogManager`) — the
-        same LSN/recovery contract, concurrent appends without a shared
-        hot counter.
-
-        ``redo_workers=1`` keeps recovery replay serial;
-        ``redo_workers > 1`` fans every recovery flavour's replay (crash,
-        media, chain, partition, selective, instant restore, PITR) out to
-        the dependency-aware parallel replayer
-        (:mod:`repro.recovery.parallel_redo`) with byte-identical
-        outcomes.
-
-        ``backend``/``data_dir`` select the storage backend (see
+        """``backend``/``data_dir`` select the storage backend (see
         :func:`repro.storage.api.open_backend`): ``"memory"`` keeps the
         in-memory stores, ``"file"`` puts the stable pages, the WAL
-        streams, and every backup image on real files under ``data_dir``
+        and every backup image on real files under ``data_dir``
         with explicit ``fsync``.  ``storage`` accepts a pre-built
         :class:`~repro.storage.api.StorageBackend` instead; ``close()``
         releases whatever the backend opened."""
@@ -142,9 +126,6 @@ class Database:
                 ) from None
         self.layout = Layout(list(pages_per_partition))
         self.initial_value = initial_value
-        if redo_workers < 1:
-            raise ReproError("redo_workers must be >= 1")
-        self.redo_workers = redo_workers
         from repro.storage.api import open_backend
 
         self.storage = (
@@ -154,16 +135,8 @@ class Database:
         )
         self.stable = self.storage.create_stable(self.layout, initial_value)
         self.metrics = Metrics()
-        if log_streams > 1:
-            from repro.wal.multi_log import MultiLogManager
-
-            self.log = MultiLogManager(
-                streams=log_streams, auto_force=auto_force_log
-            )
-            self.log.metrics = self.metrics
-        else:
-            self.log = LogManager(auto_force=auto_force_log)
-        device = self.storage.create_log_device(log_streams)
+        self.log = LogManager(auto_force=auto_force_log)
+        device = self.storage.create_log_device()
         if device is not None:
             self.log.attach_device(device)
         self.cm = CacheManager(
@@ -273,7 +246,6 @@ class Database:
             initial_value=self.initial_value,
             tracer=self.tracer,
             metrics=self.metrics,
-            redo_workers=self.redo_workers,
         )
 
     def _restore_source(
@@ -413,10 +385,6 @@ class Database:
         completed backup are copied (requires a prior backup as base);
         ``config.batched=False`` forces page-at-a-time round-robin
         copying (see :meth:`BackupRun.copy_some`);
-        ``config.workers > 1`` fans the batched span reads out to a
-        thread pool (§3.4 partition parallelism; see
-        :class:`~repro.core.backup_engine.BackupRun` — the sealed image
-        stays byte-identical to the inline sweep's);
         ``config.engine="naive"`` starts the §1.2 fuzzy-dump baseline
         instead (``"linked"`` is synchronous — use :meth:`run_backup`).
         """
@@ -447,11 +415,10 @@ class Database:
                 base_backup=base,
                 dynamic_extend=cfg.dynamic_extend,
                 batched=cfg.batched,
-                workers=cfg.workers,
             )
         else:
             run = self.engine.start_backup(
-                steps=cfg.steps, batched=cfg.batched, workers=cfg.workers,
+                steps=cfg.steps, batched=cfg.batched
             )
         self._sweep_owed = (run, self.updated_since_backup)
         self.updated_since_backup = set()

@@ -128,97 +128,13 @@ def _bench_replay() -> Callable[[], object]:
     return run
 
 
-def _bench_partition_sweep(workers: int) -> Callable[[], object]:
-    """Full backup sweep over four partitions, ``workers`` threads.
-
-    Each partition models an independent disk arm: ``io_delay_s`` makes
-    every bulk span read cost one simulated device access, and
-    ``time.sleep`` releases the GIL, so the thread pool overlaps the
-    per-partition latencies exactly the way a parallel sweep overlaps
-    seeks on a real multi-spindle layout.  The serial/2-worker/4-worker
-    triple documents the scaling curve.
-    """
-    from repro.core.config import BackupConfig
-    from repro.db import Database
-
-    db = Database(pages_per_partition=[12, 12, 12, 12], policy="general")
-    db.stable.io_delay_s = 0.0004
-    cfg = BackupConfig(steps=4, pages_per_tick=48, workers=workers)
-
-    def run() -> int:
-        db.engine.completed.clear()
-        db.start_backup(cfg)
-        backup = db.run_backup(cfg)
-        if backup.copied_count() != 48:
-            raise AssertionError("sweep did not copy every page")
-        return backup.copied_count()
-
-    return run
-
-
-def _bench_log_append_force(
-    streams: int, group_commit: bool
-) -> Callable[[], object]:
-    """Multi-threaded append+force against a striped WAL.
-
-    Four executor threads each append a record and force it durable, the
-    committing pattern group commit exists for.  ``force_delay_s`` makes
-    every durability event cost one simulated device sync (``time.sleep``
-    releases the GIL).  The three variants document the scaling story:
-
-    * ``single`` — one stream, per-caller sync: every force pays its own
-      device sync, serialized (the pre-group-commit baseline);
-    * ``gc1``    — one stream, group commit: concurrent forces coalesce
-      behind one tick;
-    * ``4s``     — four streams plus group commit: appends stop
-      contending on a shared lock as well.
-
-    A fresh log per round keeps rounds identical and independent.
-    """
-    import threading
-
-    from repro.ids import PageId
-    from repro.ops.physical import PhysicalWrite
-    from repro.wal.multi_log import MultiLogManager
-
-    n_threads, ops_per_thread, delay_s = 8, 30, 0.0005
-
-    def run() -> int:
-        log = MultiLogManager(
-            streams=streams,
-            auto_force=False,
-            group_commit=group_commit,
-            force_delay_s=delay_s,
-        )
-
-        def worker(tid: int) -> None:
-            for i in range(ops_per_thread):
-                log.append(PhysicalWrite(PageId(tid, i % 64), (tid, i)))
-                log.force()
-
-        threads = [
-            threading.Thread(target=worker, args=(t,))
-            for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if log.flushed_lsn != n_threads * ops_per_thread:
-            raise AssertionError("log not fully durable after forces")
-        return log.flushed_lsn
-
-    return run
-
-
-def _bench_partition_sweep_file(workers: int) -> Callable[[], object]:
+def _bench_partition_sweep_file() -> Callable[[], object]:
     """Full backup sweep against the file-backed storage backend.
 
-    Same shape as ``_bench_partition_sweep`` but with no simulated
-    ``io_delay_s`` — the cost per span is a real ``os.pread``, so these
-    numbers document what the protocol surface costs on actual files.
-    Each factory builds one database in a throwaway directory, removed
-    at interpreter exit.
+    Four partitions of 64 pages, one sweep thread; the cost per span is
+    a real ``os.pread``, so these numbers document what the protocol
+    surface costs on actual files.  The factory builds one database in a
+    throwaway directory, removed at interpreter exit.
     """
     import atexit
     import shutil
@@ -231,8 +147,8 @@ def _bench_partition_sweep_file(workers: int) -> Callable[[], object]:
     atexit.register(shutil.rmtree, data_dir, True)
     db = Database(pages_per_partition=[64, 64, 64, 64], policy="general",
                   backend="file", data_dir=data_dir)
-    cfg = BackupConfig(steps=4, pages_per_tick=256, workers=workers,
-                       backend="file", data_dir=data_dir)
+    cfg = BackupConfig(steps=4, pages_per_tick=256, backend="file",
+                       data_dir=data_dir)
 
     def run() -> int:
         db.engine.completed.clear()
@@ -245,54 +161,34 @@ def _bench_partition_sweep_file(workers: int) -> Callable[[], object]:
     return run
 
 
-def _bench_log_append_force_file(streams: int) -> Callable[[], object]:
-    """Multi-threaded append+force against fsynced on-disk log files.
+def _bench_log_append_force_file() -> Callable[[], object]:
+    """Append+force against an fsynced on-disk log file.
 
-    The file twin of ``log_append_force_4s``: same 8 threads x 30
-    append+force ops, but every force is a real ``os.fsync`` through
-    :class:`~repro.storage.file_backend.FileLogDevice` instead of a
-    simulated ``force_delay_s`` sleep.  Group commit still coalesces
-    concurrent forces — what is measured is how many *device* syncs the
-    committing pattern actually pays.
+    One caller thread appends 240 records and forces after each, so
+    every force is a real ``os.fsync`` through
+    :class:`~repro.storage.file_backend.FileLogDevice`: what is measured
+    is the device cost of a force-per-commit pattern on one log.
     """
     import atexit
     import shutil
     import tempfile
-    import threading
 
     from repro.ids import PageId
     from repro.ops.physical import PhysicalWrite
     from repro.storage.file_backend import FileLogDevice
-    from repro.wal.multi_log import MultiLogManager
+    from repro.wal.log_manager import LogManager
 
     wal_dir = tempfile.mkdtemp(prefix="bench-wal-")
     atexit.register(shutil.rmtree, wal_dir, True)
-    n_threads, ops_per_thread = 8, 30
+    ops = 240
 
     def run() -> int:
-        log = MultiLogManager(
-            streams=streams,
-            auto_force=False,
-            group_commit=True,
-            force_delay_s=0.0,
-        )
-        log.attach_device(FileLogDevice(wal_dir, streams=streams,
-                                        truncate=True))
-
-        def worker(tid: int) -> None:
-            for i in range(ops_per_thread):
-                log.append(PhysicalWrite(PageId(tid, i % 64), (tid, i)))
-                log.force()
-
-        threads = [
-            threading.Thread(target=worker, args=(t,))
-            for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if log.flushed_lsn != n_threads * ops_per_thread:
+        log = LogManager(auto_force=False)
+        log.attach_device(FileLogDevice(wal_dir, truncate=True))
+        for i in range(ops):
+            log.append(PhysicalWrite(PageId(0, i % 64), i))
+            log.force()
+        if log.flushed_lsn != ops:
             raise AssertionError("log not fully durable after forces")
         log.device.close()
         return log.flushed_lsn
@@ -320,16 +216,7 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
     from repro.ops.physical import PhysicalWrite
 
     partitions, size = 64, 64
-    # ttfq runs with redo_workers=4: TTFQ must stay O(1 page) no matter
-    # how recovery replay is parallelised.  The full restore stays
-    # serial — its records are trivial pure-CPU physical writes, where
-    # fan-out is all coordination overhead and no overlap (the
-    # redo_replay_* triple measures the fan-out win on ops with real
-    # per-record cost).
-    db = Database(
-        pages_per_partition=[size] * partitions, policy="general",
-        redo_workers=4 if mode == "ttfq" else 1,
-    )
+    db = Database(pages_per_partition=[size] * partitions, policy="general")
     for p in range(partitions):
         for s in range(size):
             db.execute(PhysicalWrite(PageId(p, s), (p, s)))
@@ -357,63 +244,6 @@ def _bench_instant_restore(mode: str) -> Callable[[], object]:
         return outcome.replayed
 
     return run_ttfq if mode == "ttfq" else run_full
-
-
-def _bench_redo_replay(workers: int) -> Callable[[], object]:
-    """Recovery replay fanned out to the parallel redo pool.
-
-    Builds a 640-record log whose transforms each cost one simulated
-    device/compute access (``time.sleep`` releases the GIL, standing in
-    for the page fetch + apply cost a real redo pays per record), spread
-    over 8 partitions so the conflict DAG is wide: pages repeat every
-    256 records, so dependency chains are short and almost every record
-    is single-partition (the lock-free fast path).  A sprinkle of
-    cross-partition logical ops keeps the coordinator lane honest.  The
-    serial/2-worker/4-worker triple documents the replay scaling curve
-    the same way ``partition_sweep_*`` does for the copy engine.
-    """
-    from repro.ids import PageId
-    from repro.ops.physiological import PhysiologicalWrite
-    from repro.ops.logical import GeneralLogicalOp
-    from repro.ops.registry import make_default_registry
-    from repro.recovery.parallel_redo import make_replayer
-    from repro.wal.records import LogRecord
-
-    count, partitions, slots, delay_s = 640, 8, 32, 0.0002
-    registry = make_default_registry()
-
-    def slow_stamp(value, tag):
-        time.sleep(delay_s)
-        return (tag, value)
-
-    registry.register("slow_stamp", slow_stamp)
-    records = []
-    for i in range(1, count + 1):
-        if i % 80 == 0:
-            # Cross-partition op: reads two partitions, writes one —
-            # applied on the coordinator's ordered lane.
-            op = GeneralLogicalOp(
-                reads=[PageId(i % partitions, 0),
-                       PageId((i + 1) % partitions, 1)],
-                writes=[PageId(i % partitions, 2)],
-                transform="concat_sorted",
-            )
-        else:
-            op = PhysiologicalWrite(
-                PageId(i % partitions, (i // partitions) % slots),
-                "slow_stamp", (i,), registry=registry,
-            )
-        records.append(LogRecord(i, op))
-    expected = count - count // 80
-
-    def run() -> object:
-        replayer = make_replayer(initial_value=0, redo_workers=workers)
-        stats = replayer.replay(records, {})
-        if stats.ops_replayed < expected:
-            raise AssertionError("replay missed records")
-        return stats.ops_replayed
-
-    return run
 
 
 def _bench_incremental_sweep() -> Callable[[], object]:
@@ -481,21 +311,11 @@ BENCHMARKS: Dict[str, Callable[[], Callable[[], object]]] = {
     "backup_sweep": _bench_backup_sweep,
     "mixed_execute": _bench_mixed_execute,
     "replay": _bench_replay,
-    "partition_sweep_serial": lambda: _bench_partition_sweep(1),
-    "partition_sweep_2w": lambda: _bench_partition_sweep(2),
-    "partition_sweep_4w": lambda: _bench_partition_sweep(4),
     "instant_restore_ttfq": lambda: _bench_instant_restore("ttfq"),
     "instant_restore_full": lambda: _bench_instant_restore("full"),
-    "redo_replay_serial": lambda: _bench_redo_replay(1),
-    "redo_replay_2w": lambda: _bench_redo_replay(2),
-    "redo_replay_4w": lambda: _bench_redo_replay(4),
     "incremental_sweep": _bench_incremental_sweep,
-    "log_append_force_single": lambda: _bench_log_append_force(1, False),
-    "log_append_force_gc1": lambda: _bench_log_append_force(1, True),
-    "log_append_force_4s": lambda: _bench_log_append_force(4, True),
-    "partition_sweep_file_serial": lambda: _bench_partition_sweep_file(1),
-    "partition_sweep_file_4w": lambda: _bench_partition_sweep_file(4),
-    "log_append_force_file_4s": lambda: _bench_log_append_force_file(4),
+    "partition_sweep_file_serial": _bench_partition_sweep_file,
+    "log_append_force_file": _bench_log_append_force_file,
 }
 
 #: Benchmarks that hit the file-backed storage backend (real fds and

@@ -27,19 +27,11 @@ class at every instrumented I/O boundary:
   recovery already verified it, which the next repair must still cut.
 
 Every scenario is run for the serial (page-at-a-time) and batched
-(bulk-span) copy engines, and again for the thread-parallel engine (a
-4-worker batched sweep over a four-partition layout).  The
-``parallel-redo-*`` scenarios repeat the crash sweep and the
-log-tail-rot runs with ``redo_workers=4``, so every recovery in them
-replays through the dependency-aware parallel redo pool
-(:mod:`repro.recovery.parallel_redo`) and must still reach the exact
-serial-replay state.  All randomness
-derives from the single ``seed`` argument, so the serial and batched
-sweeps are exactly reproducible; in the parallel mode the *set* of
-I/O events is deterministic but their global order depends on thread
-scheduling, so a seeded fault may land on a different read between
-runs — recoverability must hold for every interleaving, which is
-precisely what the mode is there to check.
+(bulk-span) copy engines over one partition, and again for the batched
+engine over a four-partition layout (the ``-4part`` scenarios), where
+the round-robin planner deals each copy batch across partitions and a
+span can tear in any of them.  All randomness derives from the single
+``seed`` argument, so every sweep is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -73,10 +65,8 @@ class FailureCase:
     specs: Tuple[FaultSpec, ...]
     seed: int
     batched: bool
-    workers: int = 1
-    log_streams: int = 1
+    partitions: int = 1
     backend: str = "memory"
-    redo_workers: int = 1
 
 
 @dataclass
@@ -106,15 +96,13 @@ class ScenarioResult:
 
     def record_failure(
         self, label: str, specs, seed: int, batched: bool,
-        workers: int = 1, log_streams: int = 1, backend: str = "memory",
-        redo_workers: int = 1,
+        partitions: int = 1, backend: str = "memory",
     ) -> None:
         self.detail += f" {label}:FAILED"
         self.failures.append(FailureCase(
             scenario=self.name, label=label, specs=tuple(specs),
-            seed=seed, batched=batched, workers=workers,
-            log_streams=log_streams, backend=backend,
-            redo_workers=redo_workers,
+            seed=seed, batched=batched, partitions=partitions,
+            backend=backend,
         ))
 
 
@@ -143,14 +131,10 @@ class SweepReport:
 # --------------------------------------------------------------- scenario core
 
 
-def _mode_name(batched: bool, workers: int = 1, log_streams: int = 1) -> str:
-    if workers > 1:
-        name = "parallel"
-    else:
-        name = "batched" if batched else "serial"
-    if log_streams > 1:
-        name += "-multistream"
-    return name
+def _mode_name(batched: bool, partitions: int = 1) -> str:
+    if partitions > 1:
+        return f"{partitions}part"
+    return "batched" if batched else "serial"
 
 
 def _on(backend: str) -> str:
@@ -159,35 +143,20 @@ def _on(backend: str) -> str:
 
 
 def _fresh_db(
-    pages: int = 48, workers: int = 1, log_streams: int = 1,
-    backend: str = "memory", data_dir: Optional[str] = None,
-    redo_workers: int = 1, tracer=None,
+    pages: int = 48, partitions: int = 1,
+    backend: str = "memory", data_dir: Optional[str] = None, tracer=None,
 ) -> Database:
-    """A fresh database for one sweep run.
-
-    The serial and batched modes use a single partition; the parallel
-    mode spreads the same page count over four partitions so the
-    4-worker sweep actually fans span reads out across latches.
-    ``log_streams > 1`` stripes the WAL (the multistream smoke mode).
-    ``redo_workers > 1`` fans recovery replay out to the parallel redo
-    pool (and, like the parallel copy engine, spreads the pages over
-    four partitions so the fan-out has real width).  With
-    ``backend="file"`` every run gets its own fresh directory (a
-    subdirectory of ``data_dir`` when given) so a crashed run's files
-    stay inspectable and runs never collide.
+    """A fresh database for one sweep run: ``pages`` spread evenly over
+    ``partitions``.  With ``backend="file"`` every run gets its own
+    fresh directory (a subdirectory of ``data_dir`` when given) so a
+    crashed run's files stay inspectable and runs never collide.
     """
     run_dir = None
     if backend == "file":
         run_dir = tempfile.mkdtemp(prefix="sweep-", dir=data_dir)
-    if workers > 1 or redo_workers > 1:
-        per_part = max(1, pages // 4)
-        return Database(pages_per_partition=[per_part] * 4,
-                        policy="general", log_streams=log_streams,
-                        backend=backend, data_dir=run_dir,
-                        redo_workers=redo_workers, tracer=tracer)
-    return Database(pages_per_partition=[pages], policy="general",
-                    log_streams=log_streams, backend=backend,
-                    data_dir=run_dir, redo_workers=redo_workers,
+    per_part = max(1, pages // partitions)
+    return Database(pages_per_partition=[per_part] * partitions,
+                    policy="general", backend=backend, data_dir=run_dir,
                     tracer=tracer)
 
 
@@ -196,7 +165,6 @@ def _drive(
     seed: int,
     batched: bool,
     op_count: int = 120,
-    workers: int = 1,
 ) -> Tuple[bool, object]:
     """Run workload + backup to completion under whatever faults are armed.
 
@@ -214,8 +182,7 @@ def _drive(
     # (which, among other things, can never tear).
     tick = 4 * db.layout.num_partitions
     try:
-        db.start_backup(BackupConfig(steps=4, batched=batched,
-                                     workers=workers))
+        db.start_backup(BackupConfig(steps=4, batched=batched))
         exhausted = False
         while db.backup_in_progress() or not exhausted:
             if db.backup_in_progress():
@@ -238,15 +205,13 @@ def _drive(
 
 
 def _run_one(
-    specs: List[FaultSpec], seed: int, batched: bool, workers: int = 1,
-    log_streams: int = 1, backend: str = "memory",
-    data_dir: Optional[str] = None, redo_workers: int = 1, tracer=None,
+    specs: List[FaultSpec], seed: int, batched: bool, partitions: int = 1,
+    backend: str = "memory", data_dir: Optional[str] = None, tracer=None,
 ) -> Tuple[bool, Database]:
-    db = _fresh_db(workers=workers, log_streams=log_streams,
-                   backend=backend, data_dir=data_dir,
-                   redo_workers=redo_workers, tracer=tracer)
+    db = _fresh_db(partitions=partitions, backend=backend,
+                   data_dir=data_dir, tracer=tracer)
     db.attach_faults(FaultPlane(specs))
-    ok, _ = _drive(db, seed, batched, workers=workers)
+    ok, _ = _drive(db, seed, batched)
     # Release file descriptors (file backend); in-memory state —
     # metrics, fault counters — stays readable for the caller.
     db.close()
@@ -254,22 +219,18 @@ def _run_one(
 
 
 def _measure_io_budget(
-    seed: int, batched: bool, workers: int = 1, log_streams: int = 1,
+    seed: int, batched: bool, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    redo_workers: int = 1,
 ) -> Tuple[int, dict]:
     """One fault-free run with a bare plane, counting every I/O event.
 
     Returns the global I/O count and the per-point counters (the
-    ``point_budgets`` seeded schedules draw from).  Both are
-    deterministic even in the parallel mode — threads reorder the
-    events but never change the set.
+    ``point_budgets`` seeded schedules draw from).
     """
-    db = _fresh_db(workers=workers, log_streams=log_streams,
-                   backend=backend, data_dir=data_dir,
-                   redo_workers=redo_workers)
+    db = _fresh_db(partitions=partitions, backend=backend,
+                   data_dir=data_dir)
     plane = db.attach_faults(FaultPlane())
-    ok, _ = _drive(db, seed, batched, workers=workers)
+    ok, _ = _drive(db, seed, batched)
     db.close()
     if not ok:
         raise AssertionError("fault-free baseline run failed to recover")
@@ -280,41 +241,44 @@ def _measure_io_budget(
 
 
 def _transient_scenario(
-    seed: int, batched: bool, workers: int = 1,
+    seed: int, batched: bool, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Transient faults at every instrumented point, one run per point."""
-    name = f"transient-{_mode_name(batched, workers)}{_on(backend)}"
+    name = f"transient-{_mode_name(batched, partitions)}{_on(backend)}"
     result = ScenarioResult(name)
     for point in IOPoint.ALL:
         specs = [FaultSpec(FaultKind.TRANSIENT, point=point, at_io=2,
                            times=2)]
-        ok, db = _run_one(specs, seed, batched, workers,
+        ok, db = _run_one(specs, seed, batched, partitions,
                           backend=backend, data_dir=data_dir)
         plane = db.faults
         # A point the run never reaches (fault never fired) still counts
         # as recovered — the run is fault-free by construction then.
-        result.tally(ok, point, specs, seed, batched, workers, backend=backend)
+        result.tally(ok, point, specs, seed, batched, partitions,
+                     backend=backend)
         result.faults_injected += plane.injected_total
         result.io_retries += db.metrics.io_retries
     return result
 
 
 def _torn_span_scenario(
-    seed: int, workers: int = 1,
+    seed: int, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Torn bulk backup spans: detected, resumed, and still recoverable."""
-    name = ("torn-backup-span" if workers == 1
-            else "torn-backup-span-parallel") + _on(backend)
+    name = "torn-backup-span"
+    if partitions > 1:
+        name += f"-{partitions}part"
+    name += _on(backend)
     result = ScenarioResult(name)
     resumed = 0
     for at_io in (1, 2, 3):
         specs = [FaultSpec(FaultKind.TORN, point=IOPoint.BACKUP_BULK_RECORD,
                            at_io=at_io, keep=1)]
-        ok, db = _run_one(specs, seed, batched=True, workers=workers,
+        ok, db = _run_one(specs, seed, batched=True, partitions=partitions,
                           backend=backend, data_dir=data_dir)
-        result.tally(ok, f"at_io={at_io}", specs, seed, True, workers,
+        result.tally(ok, f"at_io={at_io}", specs, seed, True, partitions,
                      backend=backend)
         result.faults_injected += db.faults.injected_total
         result.io_retries += db.metrics.io_retries
@@ -324,19 +288,19 @@ def _torn_span_scenario(
 
 
 def _torn_install_scenario(
-    seed: int, batched: bool, workers: int = 1,
+    seed: int, batched: bool, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Torn multi-page installs: doublewrite rollback + crash recovery."""
-    name = f"torn-install-{_mode_name(batched, workers)}{_on(backend)}"
+    name = f"torn-install-{_mode_name(batched, partitions)}{_on(backend)}"
     result = ScenarioResult(name)
     repaired = 0
     for at_io in (1, 2, 4):
         specs = [FaultSpec(FaultKind.TORN, point=IOPoint.STABLE_MULTI_WRITE,
                            at_io=at_io, keep=1)]
-        ok, db = _run_one(specs, seed, batched, workers,
+        ok, db = _run_one(specs, seed, batched, partitions,
                           backend=backend, data_dir=data_dir)
-        result.tally(ok, f"at_io={at_io}", specs, seed, batched, workers,
+        result.tally(ok, f"at_io={at_io}", specs, seed, batched, partitions,
                      backend=backend)
         result.faults_injected += db.faults.injected_total
         repaired += db.metrics.torn_writes_repaired
@@ -345,62 +309,46 @@ def _torn_install_scenario(
 
 
 def _crash_sweep_scenario(
-    seed: int, batched: bool, stride: int, workers: int = 1,
-    log_streams: int = 1,
+    seed: int, batched: bool, stride: int, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    redo_workers: int = 1,
 ) -> ScenarioResult:
-    """Crash at every Nth I/O point of the deterministic baseline run.
-
-    With ``redo_workers > 1`` every crash recovery in the sweep replays
-    through the parallel redo pool — the scenario then checks that the
-    byte-identical-outcome contract holds under every crash point, not
-    just on clean logs.
-    """
-    name = f"crash-sweep-{_mode_name(batched, workers, log_streams)}"
-    if redo_workers > 1:
-        name = f"parallel-redo-{name}"
-    name += _on(backend)
-    budget, _ = _measure_io_budget(seed, batched, workers, log_streams,
-                                   backend=backend, data_dir=data_dir,
-                                   redo_workers=redo_workers)
+    """Crash at every Nth I/O point of the deterministic baseline run."""
+    name = f"crash-sweep-{_mode_name(batched, partitions)}{_on(backend)}"
+    budget, _ = _measure_io_budget(seed, batched, partitions,
+                                   backend=backend, data_dir=data_dir)
     result = ScenarioResult(name, detail=f" io_budget={budget}")
     for plan in crash_sweep_plans(budget, stride=stride):
         specs = [plan.to_spec()]
-        ok, db = _run_one(specs, seed, batched, workers, log_streams,
-                          backend=backend, data_dir=data_dir,
-                          redo_workers=redo_workers)
+        ok, db = _run_one(specs, seed, batched, partitions,
+                          backend=backend, data_dir=data_dir)
         result.tally(ok, f"at_io={plan.at_io}", specs, seed, batched,
-                     workers, log_streams, backend=backend,
-                     redo_workers=redo_workers)
+                     partitions, backend=backend)
         result.faults_injected += db.faults.injected_total
     return result
 
 
 def _seeded_mix_scenario(
-    seed: int, batched: bool, rounds: int, workers: int = 1,
-    log_streams: int = 1,
+    seed: int, batched: bool, rounds: int, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Seeded random transient/torn schedules across all points."""
-    name = (f"seeded-mix-{_mode_name(batched, workers, log_streams)}"
-            + _on(backend))
-    budget, per_point = _measure_io_budget(seed, batched, workers,
-                                           log_streams, backend=backend,
+    name = f"seeded-mix-{_mode_name(batched, partitions)}{_on(backend)}"
+    budget, per_point = _measure_io_budget(seed, batched, partitions,
+                                           backend=backend,
                                            data_dir=data_dir)
     result = ScenarioResult(name)
     for round_index in range(rounds):
-        db = _fresh_db(workers=workers, log_streams=log_streams,
-                       backend=backend, data_dir=data_dir)
+        db = _fresh_db(partitions=partitions, backend=backend,
+                       data_dir=data_dir)
         injector = FailureInjector.seeded(
             db, seed * 1000 + round_index, budget, count=4,
             point_budgets=per_point,
         )
-        ok, _ = _drive(db, seed, batched, workers=workers)
+        ok, _ = _drive(db, seed, batched)
         db.close()
         result.tally(ok, f"round={round_index}",
                      [plan.to_spec() for plan in injector.io_plans],
-                     seed, batched, workers, log_streams, backend=backend)
+                     seed, batched, partitions, backend=backend)
         result.faults_injected += injector.faults_injected
         result.io_retries += db.metrics.io_retries
     return result
@@ -408,8 +356,8 @@ def _seeded_mix_scenario(
 
 def _run_bitrot_one(
     spec: FaultSpec, seed: int, batched: bool, finish: str, tracer=None,
-    workers: int = 1, backend: str = "memory",
-    data_dir: Optional[str] = None, redo_workers: int = 1,
+    partitions: int = 1, backend: str = "memory",
+    data_dir: Optional[str] = None,
 ):
     """One bitrot run: drive the workload, then force a recovery check.
 
@@ -420,15 +368,14 @@ def _run_bitrot_one(
     detected *mid-run* — a checksummed read tripping over the rot —
     downgrades to a crash + recover check on the spot.
     """
-    db = _fresh_db(workers=workers, backend=backend, data_dir=data_dir,
-                   redo_workers=redo_workers, tracer=tracer)
+    db = _fresh_db(partitions=partitions, backend=backend,
+                   data_dir=data_dir, tracer=tracer)
     db.attach_faults(FaultPlane([spec]))
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=120)
     tick = 4 * db.layout.num_partitions  # see _drive
     try:
-        db.start_backup(BackupConfig(steps=4, batched=batched,
-                                     workers=workers))
+        db.start_backup(BackupConfig(steps=4, batched=batched))
         exhausted = False
         while db.backup_in_progress() or not exhausted:
             if db.backup_in_progress():
@@ -466,9 +413,8 @@ def _bitrot_at_ios(budget: int, samples: int) -> List[int]:
 
 
 def _bitrot_scenarios(
-    seed: int, batched: bool, samples: int = 3, workers: int = 1,
+    seed: int, batched: bool, samples: int = 3, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
-    redo_workers: int = 1, only: Optional[Tuple[str, ...]] = None,
 ) -> List[ScenarioResult]:
     """Seeded bit flips per store; every run must heal or quarantine.
 
@@ -479,14 +425,10 @@ def _bitrot_scenarios(
     ``recovered`` counts runs whose recovery outcome is *honest*: the
     state matches the oracle everywhere outside an explicitly reported
     quarantine set.  A silently-wrong restore counts as a failure.
-    ``only`` restricts the rot sites (the parallel-redo smoke pins just
-    the logtail site: a truncated/healed tail feeds the parallel
-    replayer a log slice that was damaged mid-record).
     """
-    mode = _mode_name(batched, workers) + _on(backend)
-    _, per_point = _measure_io_budget(seed, batched, workers,
-                                      backend=backend, data_dir=data_dir,
-                                      redo_workers=redo_workers)
+    mode = _mode_name(batched, partitions) + _on(backend)
+    _, per_point = _measure_io_budget(seed, batched, partitions,
+                                      backend=backend, data_dir=data_dir)
     targets = (
         ("stable", IOPoint.STABLE_MULTI_WRITE, "crash"),
         ("backup",
@@ -494,26 +436,21 @@ def _bitrot_scenarios(
          "media"),
         ("logtail", IOPoint.LOG_APPEND, "crash"),
     )
-    if only is not None:
-        targets = tuple(t for t in targets if t[0] in only)
     results = []
     for target, point, finish in targets:
         budget = per_point.get(point, 0)
         name = f"bitrot-{target}-{mode}"
-        if redo_workers > 1:
-            name = f"parallel-redo-{name}"
         result = ScenarioResult(name, detail=f" point_budget={budget}")
         quarantined = 0
         for at_io in _bitrot_at_ios(budget, samples):
             spec = FaultSpec(FaultKind.BITROT, point=point, at_io=at_io,
                              seed=seed)
             outcome, db = _run_bitrot_one(spec, seed, batched, finish,
-                                          workers=workers, backend=backend,
-                                          data_dir=data_dir,
-                                          redo_workers=redo_workers)
+                                          partitions=partitions,
+                                          backend=backend,
+                                          data_dir=data_dir)
             result.tally(outcome.ok, f"at_io={at_io}", [spec], seed,
-                         batched, workers, backend=backend,
-                         redo_workers=redo_workers)
+                         batched, partitions, backend=backend)
             result.faults_injected += db.faults.injected_total
             result.io_retries += db.metrics.io_retries
             quarantined += len(getattr(outcome, "quarantined", []))
@@ -523,8 +460,7 @@ def _bitrot_scenarios(
 
 
 def _logtail_after_recovery_scenario(
-    seed: int, log_streams: int = 1,
-    backend: str = "memory", data_dir: Optional[str] = None,
+    seed: int, backend: str = "memory", data_dir: Optional[str] = None,
 ) -> ScenarioResult:
     """Tail rot after a recovery: crash, recover, rot, crash, recover.
 
@@ -534,31 +470,26 @@ def _logtail_after_recovery_scenario(
     A run counts as recovered only if the second recovery reaches the
     oracle state *and* leaves no record failing its envelope.
     """
-    name = "bitrot-logtail-after-recovery"
-    if log_streams > 1:
-        name += "-multistream"
-    result = ScenarioResult(name + _on(backend))
+    result = ScenarioResult("bitrot-logtail-after-recovery" + _on(backend))
     spec = FaultSpec(FaultKind.BITROT, point=IOPoint.LOG_APPEND, at_io=1,
                      seed=seed)
     for extra in (1, 4, 16):
         ok, db = _run_logtail_after_recovery_one(
-            spec, seed, extra, log_streams, backend=backend,
-            data_dir=data_dir,
+            spec, seed, extra, backend=backend, data_dir=data_dir,
         )
         result.tally(ok, f"extra={extra}", [spec], seed, True,
-                     log_streams=log_streams, backend=backend)
+                     backend=backend)
         result.faults_injected += db.faults.injected_total
     return result
 
 
 def _run_logtail_after_recovery_one(
-    spec: FaultSpec, seed: int, extra: int, log_streams: int = 1,
+    spec: FaultSpec, seed: int, extra: int,
     backend: str = "memory", data_dir: Optional[str] = None, tracer=None,
 ) -> Tuple[bool, Database]:
     """One run: drive, crash, recover, arm ``spec`` (rot at the next
     append), ``extra`` more operations, crash, recover."""
-    db = _fresh_db(log_streams=log_streams, backend=backend,
-                   data_dir=data_dir, tracer=tracer)
+    db = _fresh_db(backend=backend, data_dir=data_dir, tracer=tracer)
     ok, _ = _drive(db, seed, batched=True)
     db.crash()
     ok = db.recover().ok and ok
@@ -585,7 +516,7 @@ def _rot_backup_page(backup, page_id) -> None:
 
 def _run_instant_one(
     seed: int, batched: bool, rot: str = "none", traffic: bool = True,
-    workers: int = 1, backend: str = "memory",
+    partitions: int = 1, backend: str = "memory",
     data_dir: Optional[str] = None, read_all: bool = True,
     crash: bool = False, tracer=None,
 ) -> Tuple[bool, Database]:
@@ -610,12 +541,12 @@ def _run_instant_one(
     """
     from repro.ops.physical import PhysicalWrite
 
-    db = _fresh_db(workers=workers, backend=backend, data_dir=data_dir,
-                   tracer=tracer)
+    db = _fresh_db(partitions=partitions, backend=backend,
+                   data_dir=data_dir, tracer=tracer)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=120)
     tick = 4 * db.layout.num_partitions  # see _drive
-    db.start_backup(BackupConfig(steps=4, batched=batched, workers=workers))
+    db.start_backup(BackupConfig(steps=4, batched=batched))
     exhausted = False
     while db.backup_in_progress() or not exhausted:
         if db.backup_in_progress():
@@ -636,8 +567,7 @@ def _run_instant_one(
             if op is None:
                 break
             db.execute(op)
-        db.start_backup(BackupConfig(steps=4, batched=batched,
-                                     workers=workers))
+        db.start_backup(BackupConfig(steps=4, batched=batched))
         newest = db.run_backup(BackupConfig(pages_per_tick=tick))
         _rot_backup_page(newest, newest.copy_order()[0])
     elif rot == "quarantine":
@@ -699,7 +629,7 @@ _INSTANT_CASES = {
 
 
 def _instant_scenarios(
-    seed: int, batched: bool, workers: int = 1,
+    seed: int, batched: bool, partitions: int = 1,
     backend: str = "memory", data_dir: Optional[str] = None,
     read_all: bool = True,
 ) -> ScenarioResult:
@@ -710,15 +640,16 @@ def _instant_scenarios(
     and mid-restore traffic in every case, so the drain's bulk path
     restores almost every page under each integrity path.
     """
-    mode = _mode_name(batched, workers) if read_all else "lazy-drain"
+    mode = _mode_name(batched, partitions) if read_all else "lazy-drain"
     result = ScenarioResult(f"instant-restore-{mode}{_on(backend)}")
     for label, (rot, traffic, crash) in _INSTANT_CASES.items():
         ok, db = _run_instant_one(seed, batched, rot=rot,
                                   traffic=traffic or not read_all,
-                                  workers=workers, backend=backend,
+                                  partitions=partitions, backend=backend,
                                   data_dir=data_dir, read_all=read_all,
                                   crash=crash)
-        result.tally(ok, label, [], seed, batched, workers, backend=backend)
+        result.tally(ok, label, [], seed, batched, partitions,
+                     backend=backend)
         result.detail = (
             f" on_demand={db.metrics.pages_restored_on_demand}"
             f" background={db.metrics.pages_restored_background}"
@@ -903,7 +834,7 @@ def _run_archive_pitr_one(
     cut = archive.chain()[1].completion_lsn
     expected = {}
     RedoReplayer(initial_value=db.initial_value).replay(
-        db.log.merge_scan(1, cut), expected
+        db.log.scan(1, cut), expected
     )
     garbage = ("!!garbage!!", seed, case)
     db.execute(PhysicalWrite(PageId(0, 0), garbage), source="intruder")
@@ -941,16 +872,16 @@ def run_faultsweep(
     ``stride``-th I/O instead of every single one); ``quick`` picks a
     stride that keeps the whole sweep around a hundred runs.
 
-    The matrix runs three engine modes: serial (page-at-a-time copies),
-    batched (bulk spans on the calling thread), and parallel (bulk spans
-    fanned out to a 4-thread pool over a four-partition layout).
+    The matrix runs three engine modes: serial (page-at-a-time copies)
+    and batched (bulk spans) over one partition, and batched over a
+    four-partition layout.
 
     ``backend="file"`` runs the sweep against the file-backed storage
     backend (:mod:`repro.storage.file_backend`): every run gets a fresh
     directory under ``data_dir`` (system tmp when ``None``).  Because
     fault checks live at the protocol boundary, the injected schedules
     are identical to the memory backend's; the file matrix is a smaller
-    pinned smoke — batched + parallel engine modes over every fault
+    pinned smoke — the two batched modes over every fault
     class — since each run now pays real file I/O and fsyncs.
     """
     report = SweepReport(seed=seed)
@@ -966,37 +897,27 @@ def run_faultsweep(
         budget, _ = _measure_io_budget(seed, batched=True, backend=backend,
                                        data_dir=data_dir)
         stride = max(stride, budget // 12 or 1)
-        for batched, workers in ((True, 1), (True, 4)):
-            emit(_transient_scenario(seed, batched, workers,
+        for batched, partitions in ((True, 1), (True, 4)):
+            emit(_transient_scenario(seed, batched, partitions,
                                      backend=backend, data_dir=data_dir))
-            emit(_torn_install_scenario(seed, batched, workers,
+            emit(_torn_install_scenario(seed, batched, partitions,
                                         backend=backend, data_dir=data_dir))
-            emit(_crash_sweep_scenario(seed, batched, stride, workers,
+            emit(_crash_sweep_scenario(seed, batched, stride, partitions,
                                        backend=backend, data_dir=data_dir))
             emit(_seeded_mix_scenario(seed, batched, rounds=2,
-                                      workers=workers, backend=backend,
+                                      partitions=partitions, backend=backend,
                                       data_dir=data_dir))
             for result in _bitrot_scenarios(seed, batched, samples=2,
-                                            workers=workers,
+                                            partitions=partitions,
                                             backend=backend,
                                             data_dir=data_dir):
                 emit(result)
-            emit(_instant_scenarios(seed, batched, workers,
+            emit(_instant_scenarios(seed, batched, partitions,
                                     backend=backend, data_dir=data_dir))
         emit(_instant_scenarios(seed, True, backend=backend,
                                 data_dir=data_dir, read_all=False))
-        # Parallel redo smoke: every crash recovery of the sweep (and
-        # the healed-logtail rot runs) replays through the 4-worker
-        # pool; outcomes must stay byte-identical to serial replay.
-        emit(_crash_sweep_scenario(seed, True, stride, backend=backend,
-                                   data_dir=data_dir, redo_workers=4))
-        for result in _bitrot_scenarios(seed, True, samples=2,
-                                        backend=backend, data_dir=data_dir,
-                                        redo_workers=4, only=("logtail",)):
-            emit(result)
-        for log_streams in (1, 4):
-            emit(_logtail_after_recovery_scenario(
-                seed, log_streams, backend=backend, data_dir=data_dir))
+        emit(_logtail_after_recovery_scenario(
+            seed, backend=backend, data_dir=data_dir))
         emit(_torn_span_scenario(seed, backend=backend, data_dir=data_dir))
         emit(_archive_bitrot_scenario(seed, backend=backend,
                                       data_dir=data_dir))
@@ -1010,41 +931,24 @@ def run_faultsweep(
         budget, _ = _measure_io_budget(seed, batched=True)
         stride = max(stride, budget // 24 or 1)
 
-    for batched, workers in ((False, 1), (True, 1), (True, 4)):
-        emit(_transient_scenario(seed, batched, workers))
-        emit(_torn_install_scenario(seed, batched, workers))
-        emit(_crash_sweep_scenario(seed, batched, stride, workers))
+    for batched, partitions in ((False, 1), (True, 1), (True, 4)):
+        emit(_transient_scenario(seed, batched, partitions))
+        emit(_torn_install_scenario(seed, batched, partitions))
+        emit(_crash_sweep_scenario(seed, batched, stride, partitions))
         emit(_seeded_mix_scenario(seed, batched,
                                   rounds=2 if quick else 4,
-                                  workers=workers))
+                                  partitions=partitions))
         for result in _bitrot_scenarios(seed, batched,
                                         samples=2 if quick else 3,
-                                        workers=workers):
+                                        partitions=partitions):
             emit(result)
-        emit(_instant_scenarios(seed, batched, workers))
+        emit(_instant_scenarios(seed, batched, partitions))
     emit(_instant_scenarios(seed, True, read_all=False))
     emit(_torn_span_scenario(seed))
-    emit(_torn_span_scenario(seed, workers=4))
-    # Multi-stream WAL smoke: the crash sweep and the seeded mix against
-    # a database whose log is striped over four streams.  A crash must
-    # lose only per-stream unforced suffixes (the globally consistent
-    # cut) and recovery — replaying through merge_scan — must still
-    # reach the oracle state after every injected failure.
-    emit(_crash_sweep_scenario(seed, True, stride, log_streams=4))
-    emit(_seeded_mix_scenario(seed, True, rounds=2 if quick else 4,
-                              log_streams=4))
-    # Parallel redo smoke: the crash sweep and the logtail-rot runs
-    # again with recovery replay fanned out to a 4-worker pool — every
-    # crash point and every healed (truncated) tail must recover to the
-    # same state serial replay reaches.
-    emit(_crash_sweep_scenario(seed, True, stride, redo_workers=4))
-    for result in _bitrot_scenarios(seed, True, samples=2 if quick else 3,
-                                    redo_workers=4, only=("logtail",)):
-        emit(result)
+    emit(_torn_span_scenario(seed, partitions=4))
     # Tail rot after a recovery: the watermark-bounded torn-tail repair
     # must still cut a record rotted since it last verified it.
-    for log_streams in (1, 4):
-        emit(_logtail_after_recovery_scenario(seed, log_streams))
+    emit(_logtail_after_recovery_scenario(seed))
     # Archive tier: chain healing, compaction crash atomicity, and
     # point-in-time restore to a pre-corruption cut (docs/ARCHIVE.md).
     emit(_archive_bitrot_scenario(seed))
@@ -1075,10 +979,8 @@ def capture_failure_trace(case: FailureCase):
         label=case.label,
         seed=case.seed,
         batched=case.batched,
-        workers=case.workers,
-        log_streams=case.log_streams,
+        partitions=case.partitions,
         backend=case.backend,
-        redo_workers=case.redo_workers,
         specs=[
             dict(kind=s.kind, point=s.point, at_io=s.at_io,
                  times=s.times, keep=s.keep, seed=s.seed)
@@ -1110,14 +1012,14 @@ def _replay(case: FailureCase, tracer) -> None:
         rot, traffic, crash = _INSTANT_CASES[case.label]
         _run_instant_one(
             case.seed, case.batched, rot=rot,
-            traffic=traffic or not read_all, workers=case.workers,
+            traffic=traffic or not read_all, partitions=case.partitions,
             backend=case.backend, read_all=read_all, crash=crash,
             tracer=tracer,
         )
     elif name.startswith("bitrot-logtail-after-recovery"):
         _run_logtail_after_recovery_one(
             case.specs[0], case.seed, _label_value(case.label, "extra"),
-            case.log_streams, backend=case.backend, tracer=tracer,
+            backend=case.backend, tracer=tracer,
         )
     elif name.startswith("archive-chain-bitrot-middle"):
         _run_archive_bitrot_one(case.seed, _label_value(case.label, "case"),
@@ -1135,15 +1037,14 @@ def _replay(case: FailureCase, tracer) -> None:
             IOPoint.BACKUP_RECORD, IOPoint.BACKUP_BULK_RECORD
         ) else "crash")
         _run_bitrot_one(spec, case.seed, case.batched, finish,
-                        tracer=tracer, workers=case.workers,
-                        backend=case.backend,
-                        redo_workers=case.redo_workers)
+                        tracer=tracer, partitions=case.partitions,
+                        backend=case.backend)
     else:
         # transient, torn-*, crash-sweep, seeded-mix: one armed plane
         # over the standard drive.
         _run_one(list(case.specs), case.seed, case.batched,
-                 workers=case.workers, log_streams=case.log_streams,
-                 backend=case.backend, redo_workers=case.redo_workers,
+                 partitions=case.partitions,
+                 backend=case.backend,
                  tracer=tracer)
 
 

@@ -39,18 +39,15 @@ BACKUP_ABORT = "backup_abort"
 LATCH_ACQUIRE = "latch_acquire"
 #: The fault plane fired an armed fault at an I/O boundary.
 FAULT_INJECTED = "fault_injected"
-#: One log record considered by a redo pass.  Parallel redo
-#: (recovery/parallel_redo.py) additionally stamps ``worker``: 0 for
-#: the coordinator's cross-partition lane, 1..N for pool threads.
+#: One log record considered by a redo pass.
 REDO_OP = "redo_op"
 #: A recovery algorithm entered/finished one of its phases.
 RECOVERY_PHASE = "recovery_phase"
-#: The log was forced to stable storage.  Group-commit forces carry the
-#: tick's coalesced caller count under ``batch``.
+#: The log was forced to stable storage.
 LOG_FORCE = "log_force"
 #: A damaged log tail was truncated at the first corrupt record.
 LOG_TAIL_REPAIR = "log_tail_repair"
-#: A crash dropped the unforced log tail (per stream, for a striped log).
+#: A crash dropped the unforced log tail.
 LOG_TAIL_LOST = "log_tail_lost"
 #: The system crashed (volatile state lost).
 CRASH = "crash"

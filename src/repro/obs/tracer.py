@@ -144,12 +144,12 @@ class Tracer:
 
     Concurrency contract: ``emit`` is safe from any thread.  The thread
     that created the tracer (the *owner*) appends directly — no lock on
-    the single-thread path.  Other threads (parallel sweep workers, whose
-    fault-plane checks may emit) append to lock-free per-thread buffers;
-    the owner flushes them in emit order — merged by timestamp, sequence
-    numbers assigned at flush — the next time it emits or reads the
-    stream (:meth:`drain`).  Span timers feed ``metrics`` on exit and
-    should only be opened on the owner thread.
+    the single-thread path.  Other threads (one backup thread beside the
+    service, whose fault-plane checks may emit) append to lock-free
+    per-thread buffers; the owner flushes them in emit order — merged by
+    timestamp, sequence numbers assigned at flush — the next time it
+    emits or reads the stream (:meth:`drain`).  Span timers feed
+    ``metrics`` on exit and should only be opened on the owner thread.
     """
 
     enabled = True
@@ -167,7 +167,7 @@ class Tracer:
         self._seq = 0
         self.events: List[TraceEvent] = []
         self._owner = threading.get_ident()
-        # Per-thread pending buffers for non-owner emits.  Each worker
+        # Per-thread pending buffers for non-owner emits.  Each such
         # thread appends to its own list (list.append is atomic), so the
         # registry lock is only taken once per thread, at registration.
         self._local = threading.local()
@@ -199,7 +199,7 @@ class Tracer:
             del events[: len(events) - capacity]
 
     def _flush_pending(self) -> None:
-        """Merge worker-thread buffers into the stream in emit order."""
+        """Merge other threads' buffers into the stream in emit order."""
         pending: List[TraceEvent] = []
         with self._registry_lock:
             for buffer in self._buffers:
@@ -210,7 +210,7 @@ class Tracer:
             self._append(event)
 
     def drain(self) -> None:
-        """Flush any worker-thread buffers (owner thread only).
+        """Flush any other threads' buffers (owner thread only).
 
         Called implicitly by owner-thread emits and by the stream
         readers below; call explicitly before touching ``events``

@@ -59,7 +59,7 @@ def analyze_log(log: LogManager) -> AnalysisResult:
     """Reconstruct the recovery starting state from the durable log."""
     # Backward pass: locate the most recent durable checkpoint.
     checkpoint_record = None
-    for record in log.durable_merge_scan(log.first_retained_lsn):
+    for record in log.durable_scan(log.first_retained_lsn):
         if isinstance(record.op, CheckpointOp):
             checkpoint_record = record
 
@@ -73,7 +73,7 @@ def analyze_log(log: LogManager) -> AnalysisResult:
     # Forward pass: every page updated after the checkpoint is possibly
     # dirty from its first such record.
     analyzed = 0
-    for record in log.durable_merge_scan(forward_start):
+    for record in log.durable_scan(forward_start):
         analyzed += 1
         for page in record.op.writeset:
             dirty.setdefault(page, record.lsn)
@@ -100,7 +100,6 @@ def run_analyzed_crash_recovery(
     oracle: Optional[Mapping[PageId, Any]] = None,
     initial_value: Any = None,
     tracer=None,
-    redo_workers: int = 1,
     metrics=None,
 ) -> RecoveryOutcome:
     """Analysis pass + redo pass, self-contained from S and the log."""
@@ -123,6 +122,5 @@ def run_analyzed_crash_recovery(
         oracle=oracle,
         initial_value=initial_value,
         tracer=tracer,
-        redo_workers=redo_workers,
         metrics=metrics,
     )

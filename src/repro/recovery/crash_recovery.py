@@ -4,10 +4,8 @@ After a crash the volatile cache is gone; S plus the durable log prefix
 must reconstruct the current state.  Recovery is the shared pipeline
 (:func:`repro.recovery.pipeline.run_recovery`) with S itself as the base
 — read page by page where redo looks, never copied — and the durable log
-from the scan-start (truncation) point as the slice, replayed serially
-in LSN order, or in dependency order on a worker pool when
-``redo_workers > 1``, with a serial-equivalent outcome either way — and,
-when an oracle is supplied, verified against it.
+from the scan-start (truncation) point as the slice, replayed in LSN
+order — and, when an oracle is supplied, verified against it.
 
 Corruption handling: pages the caller has identified as damaged (stable
 checksum failures with no backup to heal from) are passed as
@@ -43,15 +41,13 @@ def run_crash_recovery(
     tracer=None,
     quarantine: Sequence[PageId] = (),
     rebuild_from_log: bool = False,
-    redo_workers: int = 1,
     metrics=None,
 ) -> RecoveryOutcome:
     """Recover the current state from S and the durable log.
 
     When ``apply_to_stable`` is True the recovered page versions are
     written back into S (as a real system's redo pass would), making S
-    equal to the recovered current state.  ``redo_workers > 1`` fans
-    the replay out to the dependency-aware parallel replayer.
+    equal to the recovered current state.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     if tracer.enabled:
@@ -70,12 +66,11 @@ def run_crash_recovery(
         # reads as the initial value and the full log replay
         # reconstructs the store.
         {} if rebuild_from_log else stable,
-        log.durable_merge_scan(scan_start_lsn),
+        log.durable_scan(scan_start_lsn),
         stable=stable if apply_to_stable else None,
         seeds=quarantine,
         expected=oracle,
         initial_value=initial_value,
         tracer=tracer,
         metrics=metrics,
-        redo_workers=redo_workers,
     )

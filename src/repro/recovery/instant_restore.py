@@ -69,13 +69,12 @@ from repro.recovery.media_recovery import (
     resolve_media_target,
     select_generation,
 )
-from repro.recovery.parallel_redo import make_replayer
 from repro.recovery.pipeline import (
     conclude_recovery,
     install_recovered_page,
     poison_seeds,
 )
-from repro.recovery.redo import apply_record
+from repro.recovery.redo import RedoReplayer, apply_record
 from repro.storage.backup_db import BackupDatabase
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
@@ -337,7 +336,6 @@ class RestoreManager:
         tracer=None,
         metrics=None,
         io_guard=None,
-        redo_workers: int = 1,
     ):
         self.stable = stable
         self.backup = backup
@@ -348,9 +346,6 @@ class RestoreManager:
         self.initial_value = initial_value
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
-        # redo_workers > 1: the drain replays on the dependency-aware
-        # parallel replayer.
-        self.redo_workers = redo_workers
         # Context-manager factory wrapped around restore-driven stable
         # I/O (Database passes ``_faults_suspended``: recovery I/O is
         # driven by the recovery algorithm, not the workload under test).
@@ -477,10 +472,9 @@ class RestoreManager:
 
         Does what offline media recovery does, restricted to the pages
         not restored yet: one LSN-order replay of the slice bounded at
-        :meth:`begin` (read from the log now, with ``merge_scan``) over
-        the chosen generation — so
-        ``state``, ``replayed`` and ``skipped`` are the offline ones by
-        construction — the shared pipeline's verdict
+        :meth:`begin` (read from the log now) over the chosen
+        generation — so ``state``, ``replayed`` and ``skipped`` are the
+        offline ones by construction — the shared pipeline's verdict
         (quarantine bookkeeping and oracle diffs included), and
         :meth:`_install_unrestored`.
         """
@@ -493,14 +487,11 @@ class RestoreManager:
             # The seeds plus what replay wrote, as offline.  No tracer:
             # the instant path emits no REDO_OP events.
             state = poison_seeds(self.quarantine_seed)
-            replayer = make_replayer(
-                initial_value=self.initial_value,
-                redo_workers=self.redo_workers,
-                metrics=self.metrics,
-                base=self.chosen.read_page,
+            replayer = RedoReplayer(
+                initial_value=self.initial_value, base=self.chosen.read_page
             )
             with tracer.span("recovery.instant.redo"):
-                stats = replayer.replay(self.log.merge_scan(*self._slice),
+                stats = replayer.replay(self.log.scan(*self._slice),
                                         state)
             with tracer.span("recovery.instant.classify"):
                 outcome = conclude_recovery(

@@ -194,16 +194,13 @@ def run_media_recovery(
     tracer=None,
     fallback: Sequence[BackupDatabase] = (),
     metrics=None,
-    redo_workers: int = 1,
 ) -> RecoveryOutcome:
     """Restore ``stable`` from ``backup`` and roll forward to ``to_lsn``.
 
     ``fallback`` lists older completed backup generations, newest first;
     they are consulted (whole-image, longer redo span) when ``backup``
     fails its integrity check.  ``metrics`` (optional) receives
-    fallback-rejection and dropped-page counts.  ``redo_workers > 1``
-    fans the roll-forward replay out to the dependency-aware parallel
-    replayer; the streamed single-pass restore is unaffected.
+    fallback-rejection and dropped-page counts.
     """
     tracer = NULL_TRACER if tracer is None else tracer
     target = resolve_media_target(backup, log, to_lsn)
@@ -217,7 +214,7 @@ def run_media_recovery(
     return run_recovery(
         "media",
         chosen.iter_pages(),
-        log.merge_scan(chosen.media_scan_start_lsn, target),
+        log.scan(chosen.media_scan_start_lsn, target),
         stable=stable,
         restore=stable.restore_from,
         seeds=quarantine_seed,
@@ -225,7 +222,6 @@ def run_media_recovery(
         initial_value=initial_value,
         tracer=tracer,
         metrics=metrics,
-        redo_workers=redo_workers,
         phase_fields={"restore": dict(
             backup_id=chosen.backup_id,
             scan_start_lsn=chosen.media_scan_start_lsn,

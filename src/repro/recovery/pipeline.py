@@ -31,9 +31,9 @@ from repro.ids import NULL_LSN, PageId
 from repro.obs.events import QUARANTINE, RECOVERY_PHASE, RESTORE_DROP
 from repro.obs.tracer import NULL_TRACER
 from repro.recovery.explain import RecoveryOutcome, diff_states
-from repro.recovery.parallel_redo import make_replayer
 from repro.recovery.redo import (
     POISON,
+    RedoReplayer,
     ReplayStats,
     contains_poison,
     surviving_poison,
@@ -161,7 +161,6 @@ def run_recovery(
     initial_value: Any = None,
     tracer=None,
     metrics=None,
-    redo_workers: int = 1,
     phase_fields: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> RecoveryOutcome:
     """Base → replay → classify → verify → install.
@@ -213,12 +212,8 @@ def run_recovery(
     lookup = base.cell if isinstance(base, StableDatabase) else base.get
     state = poison_seeds(seeds)
 
-    replayer = make_replayer(
-        initial_value=initial_value,
-        tracer=tracer,
-        redo_workers=redo_workers,
-        metrics=metrics,
-        base=lookup,
+    replayer = RedoReplayer(
+        initial_value=initial_value, tracer=tracer, base=lookup
     )
     with tracer.span(span + ".redo"):
         stats = replayer.replay(records, state)

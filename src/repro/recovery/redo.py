@@ -6,19 +6,16 @@ with LSN ``L`` is replayed against target page X iff ``page_lsn(X) < L``;
 pages already carrying the operation's effect are left alone (state is
 never reset) — then one ``op.apply`` over the read set.  The kernel
 neither walks a log nor owns a state; it sees pages only through the
-``version_of`` callable its caller hands it.  Three thin *schedulers*
+``version_of`` callable its caller hands it.  Two thin *schedulers*
 decide which record runs when and where its effect lands:
 
 * :class:`RedoReplayer` (this module) — the slice in LSN order;
-* :class:`~repro.recovery.parallel_redo.ParallelRedoReplayer` — the
-  conflict DAG of the slice on a worker pool;
 * the instant-restore slice evaluator
   (:mod:`repro.recovery.instant_restore`) — on demand, memoized, only
   the records a requested page depends on (single-page restores).
 
-The contract of all three is a serial-equivalent outcome: every page
-version — and, for the two replayers, the stats and poison sets — as if
-every record ran through the kernel in LSN order.
+The contract of both is a serial-equivalent outcome: every page version
+as if every record ran through the kernel in LSN order.
 
 Replay is deliberately tolerant of garbage inputs: a page that was removed
 from a flush set because it became *unexposed* can hold a stale value that
@@ -69,9 +66,8 @@ class _Poison:
 
 POISON = _Poison()
 
-#: Records pulled from the log scan per block.  ``merge_scan`` is a
-#: ``heapq.merge`` chain whose per-record ``next()`` dispatch is pure
-#: overhead at replay scale; ``islice`` blocks consume it at C speed.
+#: Records pulled from the log scan per block: ``islice`` blocks consume
+#: the scan generator at C speed and count ``records_seen`` per block.
 REPLAY_CHUNK = 256
 
 #: What the kernel returns for a replayed record: the ``{page: version}``

@@ -118,7 +118,7 @@ def expected_state_excluding(
     """The oracle of the corruption-free history: apply kept records in
     order to an empty state (verification aid)."""
     state: Dict[PageId, Any] = {}
-    for record in log.merge_scan(log.first_retained_lsn):
+    for record in log.scan(log.first_retained_lsn):
         if record.lsn in excluded:
             continue
         op = record.op
@@ -138,7 +138,6 @@ def run_selective_redo(
     verify: bool = True,
     group_of: Optional[Callable[[LogRecord], Optional[str]]] = None,
     tracer=None,
-    redo_workers: int = 1,
     metrics=None,
 ) -> SelectiveRedoResult:
     """Restore from ``backup`` and roll forward excluding the taint.
@@ -154,7 +153,7 @@ def run_selective_redo(
         tracer.emit(RECOVERY_PHASE, kind="selective", phase="begin",
                     backup_id=backup.backup_id, target_lsn=target)
 
-    records = list(log.merge_scan(backup.media_scan_start_lsn, target))
+    records = list(log.scan(backup.media_scan_start_lsn, target))
     with tracer.span("recovery.selective.taint"):
         analysis = compute_taint(records, corrupt, group_of=group_of)
     if tracer.enabled:
@@ -176,7 +175,7 @@ def run_selective_redo(
     # Corruption before the scanned range cannot be excluded either.
     pre_range = [
         record
-        for record in log.merge_scan(log.first_retained_lsn,
+        for record in log.scan(log.first_retained_lsn,
                                backup.media_scan_start_lsn - 1)
         if corrupt(record)
     ]
@@ -202,7 +201,6 @@ def run_selective_redo(
         initial_value=initial_value,
         tracer=tracer,
         metrics=metrics,
-        redo_workers=redo_workers,
         phase_fields={
             "restore": dict(scan_start_lsn=backup.media_scan_start_lsn),
             "redo": dict(excluded=len(excluded)),

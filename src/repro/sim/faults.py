@@ -216,8 +216,8 @@ class FaultPlane:
         self.count_by_point: Dict[str, int] = {}
         self.injected_by_kind: Dict[str, int] = {}
         self.injected_total = 0
-        # Parallel sweep workers hit the plane concurrently with the
-        # planning thread; the counters and armed-fault state are
+        # A backup thread beside the service hits the plane concurrently
+        # with the service thread; the counters and armed-fault state are
         # read-modify-write, so checks serialize on one lock.  Totals
         # stay deterministic across schedules — only the interleaving of
         # which I/O index lands on which thread varies.

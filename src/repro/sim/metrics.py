@@ -13,12 +13,6 @@ Concurrency contract
 --------------------
 A ``Metrics`` instance is **not** internally locked; single-thread hot
 paths increment plain attributes with zero synchronization overhead.
-Multi-threaded producers (the parallel backup sweep's span readers) do
-not share the main instance: each worker task gets a fresh **shard**
-(:meth:`Metrics.shard`), accumulates into it privately, and the
-coordinating thread merges shards deterministically with
-:meth:`Metrics.absorb` after joining the workers — sharded counters,
-merged on aggregation, never racing.
 """
 
 from __future__ import annotations
@@ -61,17 +55,6 @@ class PhaseTiming:
             self.max_s = seconds
         label = self.bucket_label(seconds)
         self.buckets[label] = self.buckets.get(label, 0) + 1
-
-    def absorb(self, other: "PhaseTiming") -> None:
-        """Merge another histogram into this one (shard aggregation)."""
-        self.count += other.count
-        self.total_s += other.total_s
-        if other.min_s < self.min_s:
-            self.min_s = other.min_s
-        if other.max_s > self.max_s:
-            self.max_s = other.max_s
-        for label, count in other.buckets.items():
-            self.buckets[label] = self.buckets.get(label, 0) + count
 
     @property
     def mean_s(self) -> float:
@@ -128,14 +111,9 @@ class Metrics:
     torn_spans_resumed: int = 0
     torn_writes_repaired: int = 0
 
-    # Group commit (multi-stream WAL): completed durability ticks, force
-    # callers coalesced into a tick they did not lead, records dropped by
-    # torn-tail repair (mirrors LogManager.tail_repair_dropped), and the
-    # per-tick batch-size histogram (batch size -> tick count).
-    group_commit_ticks: int = 0
-    group_commit_coalesced: int = 0
+    # Records dropped by torn-tail repair (mirrors
+    # LogManager.tail_repair_dropped).
     tail_repair_dropped: int = 0
-    force_batch_sizes: Dict[int, int] = field(default_factory=dict)
 
     # Corruption robustness: checksum failures observed, damage healed
     # (chain fallback / tail truncation), pages given up on, and log
@@ -157,13 +135,6 @@ class Metrics:
     pages_restored_on_demand: int = 0
     pages_restored_background: int = 0
     time_to_first_query_ms: float = 0.0
-
-    # Parallel redo (recovery/parallel_redo.py): replayed ops split
-    # between the lock-free single-partition fast path (pool threads)
-    # and the coordinator-ordered cross-partition lane.  Each worker
-    # counts into its own shard; absorbed after the replay joins.
-    redo_ops_fast_path: int = 0
-    redo_ops_coordinated: int = 0
 
     # Per-phase timing histograms, fed by tracer spans (repro.obs).
     phase_timings: Dict[str, PhaseTiming] = field(default_factory=dict)
@@ -220,42 +191,6 @@ class Metrics:
             name: timing.summary()
             for name, timing in sorted(self.phase_timings.items())
         }
-
-    # ---------------------------------------------------------------- shards
-
-    def shard(self) -> "Metrics":
-        """A fresh, zeroed ``Metrics`` for one worker task.
-
-        Parallel sweep workers never touch the shared instance: each
-        task accumulates into its own shard and the coordinating thread
-        calls :meth:`absorb` after the worker is joined, so totals are
-        deterministic and the single-thread hot paths stay lock-free.
-        """
-        return Metrics()
-
-    def absorb(self, other: "Metrics") -> None:
-        """Merge a worker shard's counters into this instance.
-
-        Scalar fields add; dict-valued counter fields merge by summing
-        per-key; phase timing histograms merge via
-        :meth:`PhaseTiming.absorb`.  Must be called from the owning
-        thread after the shard's worker has finished.
-        """
-        for spec in dataclasses.fields(self):
-            value = getattr(other, spec.name)
-            if isinstance(value, (int, float)):
-                if value:
-                    setattr(self, spec.name, getattr(self, spec.name) + value)
-            elif spec.name == "phase_timings":
-                for name, timing in value.items():
-                    mine = self.phase_timings.get(name)
-                    if mine is None:
-                        mine = self.phase_timings[name] = PhaseTiming()
-                    mine.absorb(timing)
-            else:  # dict counters keyed by region/step/kind
-                mine = getattr(self, spec.name)
-                for key, count in value.items():
-                    mine[key] = mine.get(key, 0) + count
 
     # -------------------------------------------------------------- snapshot
 

@@ -57,7 +57,7 @@ class Oracle:
         """
         self._state = {}
         self._applied_through = 0
-        for record in log.merge_scan():
+        for record in log.scan():
             self.apply_record(record)
 
     def value(self, page: PageId) -> Any:
@@ -80,7 +80,7 @@ def oracle_state_at(
     recovery outcomes at historical points.
     """
     state: Dict[PageId, Any] = {}
-    for record in log.merge_scan(1, to_lsn):
+    for record in log.scan(1, to_lsn):
         op = record.op
         reads = {pid: state.get(pid, initial_value) for pid in op.readset}
         for pid, value in op.apply(reads).items():

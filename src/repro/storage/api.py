@@ -7,9 +7,9 @@ touch storage through exactly three surfaces:
   pages, media-failure bookkeeping, integrity verification, restore.
 * :class:`BackupStore` — the backup device: record/bulk-record copied
   spans, seal/abort, verified reads for media recovery.
-* :class:`LogDevice` — the durability surface behind the WAL managers:
-  append serialized record bytes per stream, ``sync()`` to make the
-  pending suffix durable.
+* :class:`LogDevice` — the durability surface behind the WAL manager:
+  append serialized record bytes, ``sync()`` to make the pending suffix
+  durable.
 
 These protocols are *structural* (:class:`typing.Protocol`): the
 in-memory classes already conform and are not required to inherit from
@@ -150,18 +150,17 @@ class BackupStore(Protocol):
 
 @runtime_checkable
 class LogDevice(Protocol):
-    """The durability surface behind ``LogManager``/``MultiLogManager``.
+    """The durability surface behind ``LogManager``.
 
-    The WAL managers keep the authoritative in-memory record images (the
+    The WAL manager keeps the authoritative in-memory record images (the
     log buffer); a device receives each record at append time, buffers
     it, and makes the buffered suffix durable on :meth:`sync` — the
     ``write_log`` + ``sync()`` shape of the log.cc managers in
-    SNIPPETS.md.  ``sync()`` is called once per group-commit tick, so one
-    real ``fsync`` per stream covers every append since the previous
-    tick.
+    SNIPPETS.md.  ``sync()`` is called once per force, so one real
+    ``fsync`` covers every append since the previous force.
     """
 
-    def append(self, stream_id: int, record: Any) -> None: ...
+    def append(self, record: Any) -> None: ...
 
     def sync(self) -> None: ...
 
@@ -201,7 +200,7 @@ class StorageBackend:
     ) -> BackupStore:
         raise NotImplementedError
 
-    def create_log_device(self, num_streams: int) -> Optional[LogDevice]:
+    def create_log_device(self) -> Optional[LogDevice]:
         """Return a :class:`LogDevice`, or ``None`` for buffer-only WALs."""
         raise NotImplementedError
 
@@ -248,7 +247,7 @@ class MemoryBackend(StorageBackend):
             )
         )
 
-    def create_log_device(self, num_streams: int) -> Optional[LogDevice]:
+    def create_log_device(self) -> Optional[LogDevice]:
         # The in-memory WAL buffer is already the whole device.
         return None
 

@@ -16,12 +16,11 @@ On-disk layout under one ``data_dir``::
     stable/shadow.journal   doublewrite journal: pre-images of an
                             in-flight multi-page install, fsynced before
                             the install touches any cell.
-    wal/stream0.log         append-only log file per WAL stream (the
-    wal/stream1.log         format-2 record specs as JSONL); appends
-    ...                     buffer in memory, ``sync()`` writes the
-                            pending suffix and ``os.fsync``s — the
-                            write_log/latch shape of log.cc in
-                            SNIPPETS.md.
+    wal/stream0.log         append-only log file (record specs as
+                            JSONL); appends buffer in memory,
+                            ``sync()`` writes the pending suffix and
+                            ``os.fsync``s — the write_log/latch shape
+                            of log.cc in SNIPPETS.md.
     backups/b0001.jsonl     one append-only file per backup run: JSONL
                             page records in copy order, sealed by a
                             footer line at ``complete()``.
@@ -271,65 +270,57 @@ class FileBackupDatabase(BackupDatabase):
 
 
 class FileLogDevice:
-    """Append-only log file per WAL stream with explicit ``os.fsync``.
+    """Append-only log file with explicit ``os.fsync``.
 
     The write_log/latch shape of the log.cc managers in SNIPPETS.md:
     :meth:`append` serializes the record spec and buffers it under the
-    stream's latch; :meth:`sync` writes each stream's pending suffix and
-    ``fsync``s it — one real durability event per group-commit tick.
-    The WAL manager's in-memory buffer stays the read/recovery surface;
-    these files are the durable history (loadable with
-    :func:`repro.wal.serialize.load_log` semantics via JSONL specs).
+    latch; :meth:`sync` writes the pending suffix and ``fsync``s it —
+    one real durability event per force.  The latch keeps a sync from
+    racing an append made by another thread.  The WAL manager's
+    in-memory buffer stays the read/recovery surface; the file is the
+    durable history (loadable with :func:`repro.wal.serialize.load_log`
+    semantics via JSONL specs).
     """
 
-    def __init__(self, wal_dir: str, streams: int = 1, truncate: bool = True):
+    def __init__(self, wal_dir: str, truncate: bool = True):
         os.makedirs(wal_dir, exist_ok=True)
-        self.paths = [
-            os.path.join(wal_dir, f"stream{i}.log") for i in range(streams)
-        ]
-        mode = "w+b" if truncate else "a+b"
-        self._files = [open(path, mode, buffering=0) for path in self.paths]
-        self._pending: List[List[bytes]] = [[] for _ in range(streams)]
-        self._latches = [threading.Lock() for _ in range(streams)]
+        self.path = os.path.join(wal_dir, "stream0.log")
+        self._file = open(self.path, "w+b" if truncate else "a+b",
+                          buffering=0)
+        self._pending: List[bytes] = []
+        self._latch = threading.Lock()
         self.records_appended = 0
         self.bytes_written = 0
         self.syncs = 0
 
-    def append(self, stream_id: int, record) -> None:
+    def append(self, record) -> None:
         from repro.wal.serialize import record_to_spec
 
         spec = record_to_spec(record)
         line = json.dumps(spec, separators=(",", ":")).encode() + b"\n"
-        with self._latches[stream_id]:
-            self._pending[stream_id].append(line)
+        with self._latch:
+            self._pending.append(line)
         self.records_appended += 1
 
     def sync(self) -> None:
-        flushed = False
-        for i, handle in enumerate(self._files):
-            with self._latches[i]:
-                chunks = self._pending[i]
-                if not chunks or handle.closed:
-                    continue
-                data = b"".join(chunks)
-                chunks.clear()
-                handle.write(data)
-                os.fsync(handle.fileno())
-                self.bytes_written += len(data)
-                flushed = True
-        if flushed:
-            self.syncs += 1
+        with self._latch:
+            if not self._pending or self._file.closed:
+                return
+            data = b"".join(self._pending)
+            self._pending.clear()
+            self._file.write(data)
+            os.fsync(self._file.fileno())
+            self.bytes_written += len(data)
+        self.syncs += 1
 
     def drop_pending(self) -> None:
         """Crash simulation: the unsynced buffer dies with the process."""
-        for i in range(len(self._pending)):
-            with self._latches[i]:
-                self._pending[i].clear()
+        with self._latch:
+            self._pending.clear()
 
     def close(self) -> None:
-        for handle in self._files:
-            if not handle.closed:
-                handle.close()
+        if not self._file.closed:
+            self._file.close()
 
 
 class FileBackend(StorageBackend):
@@ -373,7 +364,5 @@ class FileBackend(StorageBackend):
             )
         )
 
-    def create_log_device(self, num_streams: int) -> FileLogDevice:
-        return self._track(
-            FileLogDevice(os.path.join(self.data_dir, "wal"), num_streams)
-        )
+    def create_log_device(self) -> FileLogDevice:
+        return self._track(FileLogDevice(os.path.join(self.data_dir, "wal")))

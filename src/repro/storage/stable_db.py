@@ -22,7 +22,6 @@ Write counts are tracked so benchmarks can report I/O volume.
 
 from __future__ import annotations
 
-import time
 import warnings
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -67,13 +66,6 @@ class StableDatabase:
         self._failed_partitions: set = set()
         self.page_writes = 0
         self.multi_page_flushes = 0
-        # Simulated per-request device latency (seconds), slept once per
-        # read call — a bulk span read models one seek + one contiguous
-        # transfer.  ``time.sleep`` releases the GIL, so concurrent span
-        # reads against different partitions overlap exactly like the
-        # independent disk arms of the paper's partitioned stores (§3.4).
-        # Left at 0.0 (no sleep) outside latency-sensitive benchmarks.
-        self.io_delay_s = 0.0
         # Fault plane (None = no injection) and the shadow journal: the
         # pre-images of an in-flight multi-page install, conceptually on
         # stable storage, so it survives a crash and lets recovery undo a
@@ -243,8 +235,6 @@ class StableDatabase:
             from repro.sim.faults import IOPoint
 
             self._faults.check(IOPoint.STABLE_READ, corrupt=self._bitrot)
-        if self.io_delay_s:
-            time.sleep(self.io_delay_s)
         if self._has_device:
             self._device_read(page_id)
         return self._verify(page_id, self._version(page_id))
@@ -252,9 +242,8 @@ class StableDatabase:
     def _begin_bulk_read(self) -> None:
         """Protocol-boundary checks shared by every bulk-read entry point.
 
-        One media gate, one ``stable.read_pages`` fault-plane check, and
-        one simulated seek per call — a bulk span read models one seek
-        plus one contiguous transfer regardless of backend.
+        One media gate and one ``stable.read_pages`` fault-plane check
+        per call, regardless of backend.
         """
         if self._failed:
             raise MediaFailureError("stable database media has failed")
@@ -262,8 +251,6 @@ class StableDatabase:
             from repro.sim.faults import IOPoint
 
             self._faults.check(IOPoint.STABLE_BULK_READ, corrupt=self._bitrot)
-        if self.io_delay_s:
-            time.sleep(self.io_delay_s)
 
     def read_pages(self, page_ids) -> "list":
         """Bulk read used by the batched backup sweep.

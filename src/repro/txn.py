@@ -16,11 +16,9 @@ writes:
   anywhere;
 * ``abort()`` simply drops the buffer — nothing was ever logged.
 
-The workload/recovery loop runs on one thread (only a backup run with
-``workers > 1`` fans its span reads out to worker threads — see
-``repro.core.backup_engine.BackupRun``), so deferred
-application at commit reproduces exactly the states the operations saw
-when buffered.
+The workload/recovery loop runs on one thread, so deferred application
+at commit reproduces exactly the states the operations saw when
+buffered.
 
 >>> from repro import Database, PhysicalWrite
 >>> from repro.ids import PageId

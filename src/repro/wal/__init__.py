@@ -8,7 +8,6 @@ backup begins.
 
 from repro.wal.records import LogRecord, RecordFlag
 from repro.wal.log_manager import LogManager, LogStats
-from repro.wal.multi_log import LogStream, MultiLogManager, stream_for_page
 from repro.wal.truncation import RecLSNTracker
 from repro.wal.media_log import MediaLogView
 from repro.wal.checkpoint import CheckpointManager, CheckpointOp
@@ -19,9 +18,6 @@ __all__ = [
     "RecordFlag",
     "LogManager",
     "LogStats",
-    "LogStream",
-    "MultiLogManager",
-    "stream_for_page",
     "RecLSNTracker",
     "MediaLogView",
     "CheckpointManager",

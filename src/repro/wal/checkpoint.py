@@ -125,7 +125,7 @@ class CheckpointManager:
         last checkpoint is itself part of the log stream.
         """
         last = None
-        for record in log.durable_merge_scan():
+        for record in log.durable_scan():
             if isinstance(record.op, CheckpointOp):
                 last = record
         return last

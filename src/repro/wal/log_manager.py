@@ -18,12 +18,8 @@ per-page writer index behind :meth:`LogManager.writers` is maintained
 at the same sites: every record enters the retained log through
 ``_admit`` and leaves it through ``_evict``, which update both.
 
-Recovery consumes the log through :meth:`merge_scan` /
-:meth:`durable_merge_scan`: on this single-stream manager they are the
-plain ordered scans, on :class:`~repro.wal.multi_log.MultiLogManager`
-they are a k-way ordered merge across the physical streams.  Writing
-recovery against the merge surface is what lets the striped log slot in
-underneath unchanged.
+Recovery consumes the log through :meth:`scan` / :meth:`durable_scan`,
+the one ordered record stream.
 
 For simplicity transactions are not modelled as explicit begin/commit
 records: the paper's protocol is entirely about operation installation
@@ -33,7 +29,6 @@ and redo, and every logged operation is treated as committed.
 from __future__ import annotations
 
 import threading
-import time
 from operator import attrgetter
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -139,10 +134,6 @@ class LogStats:
 
 
 class LogManager:
-    #: Number of physical streams behind this manager (overridden by
-    #: :class:`~repro.wal.multi_log.MultiLogManager`).
-    num_streams = 1
-
     def __init__(self, auto_force: bool = True):
         self._records: List[LogRecord] = []
         # LSN of the first retained record; physical truncation advances
@@ -170,24 +161,19 @@ class LogManager:
         # Every record at or below this LSN verified at the last
         # repair_tail and has not changed since.
         self._verified_lsn: LSN = NULL_LSN
-        # Simulated cost of one durability event (fsync-equivalent).
-        # Zero by default; the append/force benchmarks set it so the
-        # one-force-per-caller pattern pays a per-call device latency.
-        self.force_delay_s = 0.0
         # Incremental statistics; see LogStats.
         self.stats = LogStats()
         # The writer index: page -> the retained records whose writeset
         # holds it, ascending LSN (see writers()).
         #
-        # Threading contract.  Appends may run while other threads read
-        # the index (the instant-restore pool does), so readers take
-        # ``_index_lock``, as does every eviction.  A single-stream
+        # Threading contract.  Appends may run while another thread
+        # reads the index (the one backup thread beside the service),
+        # so readers take ``_index_lock``, as does every eviction.  An
         # append only ever extends a list at its tail, which leaves
         # every position a reader bisected to intact, so it runs
-        # unlocked; a multi-stream append runs under the lock because
-        # concurrent arrivals can be out of LSN order.  Truncation, tail
-        # cuts, crash discards and loading are, as for every other
-        # structure here, not concurrent with appends.
+        # unlocked.  Truncation, tail cuts, crash discards and loading
+        # are, as for every other structure here, not concurrent with
+        # appends.
         self._page_writers: Dict[PageId, List[LogRecord]] = {}
         self._index_lock = threading.Lock()
 
@@ -196,8 +182,7 @@ class LogManager:
     def _admit(self, record: LogRecord) -> None:
         """A record enters the retained log: count it, index its writes.
 
-        Records arrive in LSN order here, so each list grows at its tail
-        (the striped log overrides this with an ordered insert).
+        Records arrive in LSN order here, so each list grows at its tail.
         """
         self.stats.add(record)
         index = self._page_writers
@@ -269,12 +254,11 @@ class LogManager:
             self.faults.check(IOPoint.LOG_APPEND, corrupt=self._bitrot)
         lsn = self._first_lsn + len(self._records)
         record = LogRecord(lsn, op, flags, source)
-        record.stream_seq = lsn
         self._records.append(record)
         self._admit(record)
         device = self.device
         if device is not None:
-            device.append(0, record)
+            device.append(record)
         if self.auto_force:
             self._flushed_lsn = lsn
             if device is not None:
@@ -301,11 +285,8 @@ class LogManager:
     def force(self, up_to: Optional[LSN] = None) -> None:
         """Force the log to stable storage up to ``up_to`` (default: all).
 
-        Each call is its own durability event: with a nonzero
-        ``force_delay_s`` every caller that actually advances the stable
-        prefix pays one full device sync.  The group-commit path that
-        coalesces concurrent callers behind a single tick lives on
-        :class:`~repro.wal.multi_log.MultiLogManager`.
+        Each call that advances the stable prefix is its own durability
+        event: one device sync.
         """
         end = self.end_lsn if up_to is None else min(up_to, self.end_lsn)
         if end > self._flushed_lsn:
@@ -313,13 +294,11 @@ class LogManager:
                 from repro.sim.faults import IOPoint
 
                 self.faults.check(IOPoint.LOG_FORCE, corrupt=self._bitrot)
-            if self.force_delay_s:
-                time.sleep(self.force_delay_s)
             if self.device is not None:
                 self.device.sync()
             if self.tracer.enabled:
                 self.tracer.emit(
-                    LOG_FORCE, lsn=end, from_lsn=self._flushed_lsn, batch=1
+                    LOG_FORCE, lsn=end, from_lsn=self._flushed_lsn
                 )
             self._flushed_lsn = end
 
@@ -361,13 +340,12 @@ class LogManager:
                 end_lsn=self.end_lsn,
             )
 
-    def _emit_tail_lost(self, dropped: int, per_stream=None) -> None:
+    def _emit_tail_lost(self, dropped: int) -> None:
         if dropped and self.tracer.enabled:
-            fields = dict(dropped=dropped, cut_lsn=self.end_lsn + 1,
-                          end_lsn=self.end_lsn)
-            if per_stream is not None:
-                fields["per_stream"] = per_stream
-            self.tracer.emit(LOG_TAIL_LOST, **fields)
+            self.tracer.emit(
+                LOG_TAIL_LOST, dropped=dropped, cut_lsn=self.end_lsn + 1,
+                end_lsn=self.end_lsn,
+            )
 
     def repair_tail(self) -> int:
         """Truncate the log at the first corrupt record (torn-tail repair).
@@ -387,33 +365,25 @@ class LogManager:
         screen: no envelope (``crc is None``) verifies trivially.
         :meth:`damaged_records` (the scrubber) still checks them all.
         """
-        suffix = self._unverified()
+        first = self._first_lsn
+        suffix = self._records[max(self._verified_lsn + 1, first) - first:]
         damaged = []
         if list(map(_crc_of, suffix)).count(None) < len(suffix):
             damaged = [r.lsn for r in suffix if not self.verify_record(r)]
         if not damaged:
             self._verified_lsn = self.end_lsn
             return 0
-        cut_lsn = min(damaged)
-        dropped = self._cut_tail(cut_lsn)
+        cut_lsn = damaged[0]
+        removed = self._records[cut_lsn - first:]
+        self._evict(removed)
+        del self._records[cut_lsn - first:]
+        dropped = len(removed)
         self._verified_lsn = cut_lsn - 1
         if self._flushed_lsn > self.end_lsn:
             self._flushed_lsn = self.end_lsn
         self.tail_repair_dropped += dropped
         self._emit_tail_repair(dropped)
         return dropped
-
-    def _unverified(self) -> List[LogRecord]:
-        """The retained records above the verified watermark."""
-        start = max(self._verified_lsn + 1, self._first_lsn)
-        return self._records[start - self._first_lsn:]
-
-    def _cut_tail(self, cut_lsn: LSN) -> int:
-        """Discard every record from ``cut_lsn`` on; returns how many."""
-        removed = self._records[cut_lsn - self._first_lsn:]
-        self._evict(removed)
-        del self._records[cut_lsn - self._first_lsn:]
-        return len(removed)
 
     def _bitrot(self, rng) -> bool:
         """Silently rot one log record (fault-plane corruptor).
@@ -498,7 +468,7 @@ class LogManager:
         Raises :class:`LogTruncatedError` if the range starts before
         the physically retained prefix — recovery asking for a truncated
         record is a hard error, never silence.  O(1); every ranged read
-        (:meth:`scan`, :meth:`merge_scan`, :meth:`writers`) checks here.
+        (:meth:`scan`, :meth:`writers`) checks here.
         """
         start = max(from_lsn, 1)
         end = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
@@ -524,23 +494,6 @@ class LogManager:
     def durable_scan(self, from_lsn: LSN = 1) -> Iterator[LogRecord]:
         """Only the records that survived a crash (forced prefix)."""
         return self.scan(from_lsn, self._flushed_lsn)
-
-    def merge_scan(
-        self, from_lsn: LSN = 1, to_lsn: Optional[LSN] = None
-    ) -> Iterator[LogRecord]:
-        """Records in recovered total order (the redo/replay surface).
-
-        On a single-stream log the recovered total order *is* the
-        append order, so this is :meth:`scan`; the multi-stream manager
-        overrides it with a k-way ordered merge across its physical
-        streams.  All recovery paths (crash, media, analysis, selective
-        redo, standby shipping) consume the log through this method.
-        """
-        return self.scan(from_lsn, to_lsn)
-
-    def durable_merge_scan(self, from_lsn: LSN = 1) -> Iterator[LogRecord]:
-        """The durable prefix of :meth:`merge_scan`."""
-        return self.merge_scan(from_lsn, self._flushed_lsn)
 
     def truncate_prefix(self, up_to_lsn: LSN) -> int:
         """Physically discard records with LSN < ``up_to_lsn``.
@@ -581,7 +534,7 @@ class LogManager:
             return self.stats.records  # O(1): whole retained log
         return sum(
             1
-            for r in self.merge_scan(from_lsn, to_lsn)
+            for r in self.scan(from_lsn, to_lsn)
             if predicate is None or predicate(r)
         )
 
@@ -599,7 +552,7 @@ class LogManager:
             return self.stats.bytes  # O(1): whole retained log
         return sum(
             r.size_bytes
-            for r in self.merge_scan(from_lsn, to_lsn)
+            for r in self.scan(from_lsn, to_lsn)
             if predicate is None or predicate(r)
         )
 

@@ -24,8 +24,7 @@ class MediaLogView:
         self.scan_start_lsn = scan_start_lsn
 
     def scan(self, to_lsn: Optional[LSN] = None) -> Iterator[LogRecord]:
-        # Ordered merge across physical streams on a striped log.
-        return self._log.merge_scan(self.scan_start_lsn, to_lsn)
+        return self._log.scan(self.scan_start_lsn, to_lsn)
 
     def record_count(self) -> int:
         return self._log.count(self.scan_start_lsn)

@@ -27,8 +27,7 @@ class RecordFlag(enum.Flag):
 class LogRecord:
     """One log record; slotted, one is built per executed operation."""
 
-    __slots__ = ("lsn", "op", "flags", "source", "crc", "stream_id",
-                 "stream_seq")
+    __slots__ = ("lsn", "op", "flags", "source", "crc")
 
     def __init__(
         self,
@@ -37,8 +36,6 @@ class LogRecord:
         flags: RecordFlag = RecordFlag.NONE,
         source: str = "",
         crc=None,
-        stream_id: int = 0,
-        stream_seq: int = 0,
     ):
         self.lsn = lsn
         self.op = op
@@ -50,11 +47,6 @@ class LogRecord:
         # repro.wal.serialize.record_checksum); None for records built
         # outside the manager (tests, ad-hoc construction).
         self.crc = crc
-        # Multi-stream addressing (repro.wal.multi_log): which physical
-        # stream holds this record and its dense per-stream sequence
-        # number.  A single-stream log leaves both at 0.
-        self.stream_id = stream_id
-        self.stream_seq = stream_seq
 
     @property
     def is_cm_injected(self) -> bool:

@@ -26,7 +26,7 @@ import json
 import os
 import re
 import zlib
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.codec import decode_value, encode_value
 from repro.errors import CorruptLogRecordError, LogError
@@ -42,10 +42,6 @@ from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord, RecordFlag
 
 FORMAT_VERSION = 1
-#: Multi-stream envelope: per-stream record lists with their own
-#: durable boundaries.  Single-stream logs always ship format 1, so
-#: their files stay byte-identical to pre-striping builds.
-MULTI_FORMAT_VERSION = 2
 
 
 def _pid_spec(page: PageId):
@@ -251,14 +247,7 @@ def save_log(log: LogManager, path: str) -> int:
     list for the whole log, so peak memory is a single record regardless
     of log length.  The bytes written are identical to a single
     ``json.dumps`` of the full envelope with ``separators=(",", ":")``.
-
-    A multi-stream log (``log.num_streams > 1``) ships the format-2
-    envelope: one record list per physical stream, each with its own
-    durable boundary.  Single-stream logs always write format 1, so
-    their files are byte-identical whether or not striping exists.
     """
-    if getattr(log, "num_streams", 1) > 1 and hasattr(log, "streams"):
-        return _save_multi(log, path)
     dumps = json.dumps
     with open(path, "w") as handle:
         write = handle.write
@@ -277,54 +266,6 @@ def save_log(log: LogManager, path: str) -> int:
             else:
                 write(",")
             write(dumps(record_to_spec(record), separators=(",", ":")))
-        write("]}")
-    return os.path.getsize(path)
-
-
-def _save_multi(log, path: str) -> int:
-    """Format-2 writer: the durable prefix of each stream, per stream.
-
-    Only records at or below the *globally consistent* durable frontier
-    are shipped — exactly the records a crash at save time would have
-    preserved — so a loaded log equals the crash-surviving log.
-    """
-    from bisect import bisect_right
-
-    dumps = json.dumps
-    flushed = log.flushed_lsn
-    first = log.first_retained_lsn
-    with open(path, "w") as handle:
-        write = handle.write
-        write(
-            '{"format":%s,"log_streams":%s,"first_lsn":%s,'
-            '"flushed_lsn":%s,"streams":['
-            % (
-                dumps(MULTI_FORMAT_VERSION),
-                dumps(log.num_streams),
-                dumps(first),
-                dumps(flushed),
-            )
-        )
-        for i, stream in enumerate(log.streams):
-            if i:
-                write(",")
-            hi = bisect_right(stream.lsns, flushed)
-            stream_flushed = stream.lsns[hi - 1] if hi else first - 1
-            write(
-                '{"stream_id":%s,"flushed_lsn":%s,"records":['
-                % (dumps(stream.stream_id), dumps(stream_flushed))
-            )
-            first_record = True
-            for record in stream.records[:hi]:
-                if first_record:
-                    first_record = False
-                else:
-                    write(",")
-                spec = record_to_spec(record)
-                spec["stream"] = record.stream_id
-                spec["seq"] = record.stream_seq
-                write(dumps(spec, separators=(",", ":")))
-            write("]}")
         write("]}")
     return os.path.getsize(path)
 
@@ -377,8 +318,6 @@ def load_log(path: str, repair_tail: bool = False) -> LogManager:
             raise LogError(f"log file {path} is not valid JSON") from None
     if envelope is not None:
         fmt = envelope.get("format")
-        if fmt == MULTI_FORMAT_VERSION:
-            return _load_multi(envelope, path, repair_tail)
         if fmt != FORMAT_VERSION:
             raise LogError(f"unsupported log format {fmt!r}")
         first_lsn = envelope["first_lsn"]
@@ -412,76 +351,4 @@ def load_log(path: str, repair_tail: bool = False) -> LogManager:
     log.force()
     # How many records the file claimed beyond what survived.
     log.tail_repair_dropped = max(0, claimed_flushed - (log.next_lsn - 1))
-    return log
-
-
-def _load_multi(envelope: Dict[str, Any], path: str, repair_tail: bool):
-    """Reconstruct a ``MultiLogManager`` from a format-2 envelope.
-
-    Damage handling with ``repair_tail=True`` mirrors the single-stream
-    cut: a record that cannot be decoded or fails its checksum poisons
-    its stream from that point on, and the global log is cut back to the
-    highest LSN below every poisoned point (keeping the retained log a
-    dense global prefix, per-stream suffix drops only).  Note the
-    byte-level salvage path for a *torn* file remains format-1 only: a
-    format-2 file that is not valid JSON is not salvageable.
-    """
-    import itertools
-
-    from repro.wal.multi_log import MultiLogManager
-
-    num_streams = envelope["log_streams"]
-    if not isinstance(num_streams, int) or num_streams < 1:
-        raise LogError(f"log file {path}: bad log_streams {num_streams!r}")
-    first_lsn = envelope["first_lsn"]
-    claimed_flushed = envelope["flushed_lsn"]
-    loaded: List[LogRecord] = []
-    cut_lsn = None  # keep only LSNs strictly below this, if set
-    for stream_env in envelope["streams"]:
-        stream_id = stream_env["stream_id"]
-        if not 0 <= stream_id < num_streams:
-            raise LogError(f"log file {path}: bad stream id {stream_id!r}")
-        last_good = None
-        for spec in stream_env["records"]:
-            try:
-                record = record_from_spec(spec)
-            except (LogError, KeyError, TypeError, ValueError):
-                if not repair_tail:
-                    raise
-                # This stream is untrustworthy from here on; the cut
-                # falls just above its last good record (the corrupt
-                # record's own LSN may itself be unreadable).
-                poison = first_lsn if last_good is None else last_good + 1
-                if cut_lsn is None or poison < cut_lsn:
-                    cut_lsn = poison
-                break
-            record.stream_id = stream_id
-            loaded.append(record)
-            last_good = record.lsn
-    if cut_lsn is not None:
-        loaded = [r for r in loaded if r.lsn < cut_lsn]
-    loaded.sort(key=lambda r: r.lsn)
-    kept: List[LogRecord] = []
-    for i, record in enumerate(loaded):
-        if record.lsn != first_lsn + i:
-            if repair_tail:
-                break  # first gap/duplicate: everything above is suspect
-            raise LogError(
-                f"log file out of sequence at LSN {record.lsn} "
-                f"(expected {first_lsn + i})"
-            )
-        kept.append(record)
-    log = MultiLogManager(streams=num_streams, auto_force=True)
-    log._first_lsn = first_lsn  # noqa: SLF001
-    for record in kept:
-        stream = log.streams[record.stream_id]
-        record.stream_seq = len(stream.records) + 1
-        stream.records.append(record)
-        stream.lsns.append(record.lsn)
-        stream.flushed_count = len(stream.records)
-        log._records.append(record)  # noqa: SLF001
-        log._admit(record)  # noqa: SLF001
-    log._flushed_lsn = log.end_lsn  # noqa: SLF001
-    log._lsn_seq = itertools.count(log.end_lsn + 1)  # noqa: SLF001
-    log.tail_repair_dropped = max(0, claimed_flushed - log.end_lsn)
     return log

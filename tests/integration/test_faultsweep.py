@@ -27,10 +27,13 @@ class TestFaultsweep:
             "seeded-mix-serial", "seeded-mix-batched",
             "torn-backup-span",
             "instant-restore-serial", "instant-restore-batched",
-            "instant-restore-parallel", "instant-restore-lazy-drain",
+            "instant-restore-4part", "instant-restore-lazy-drain",
+            "transient-4part", "crash-sweep-4part", "torn-backup-span-4part",
             "bitrot-logtail-after-recovery",
-            "bitrot-logtail-after-recovery-multistream",
         } <= names
+        # The deleted fan-out modes are gone from the matrix.
+        assert not [n for n in names
+                    if "parallel" in n or "multistream" in n]
         # Every instant family finishes one restore through a crash.
         for result in report.results:
             if result.name.startswith("instant-restore-"):
@@ -51,7 +54,8 @@ class TestFaultsweep:
 
     def test_file_backend_smoke_fully_recovers(self, tmp_path):
         """The pinned file-backend smoke matrix: every fault class over
-        the batched and parallel engines on real files, 100% recovered."""
+        the batched engine over one and four partitions on real files,
+        100% recovered."""
         report = run_faultsweep(seed=0, backend="file",
                                 data_dir=str(tmp_path))
         assert report.total > 0
@@ -61,12 +65,11 @@ class TestFaultsweep:
             "transient-batched-file", "torn-install-batched-file",
             "crash-sweep-batched-file", "seeded-mix-batched-file",
             "bitrot-stable-batched-file",
-            "transient-parallel-file", "crash-sweep-parallel-file",
+            "transient-4part-file", "crash-sweep-4part-file",
             "torn-backup-span-file",
-            "instant-restore-batched-file", "instant-restore-parallel-file",
+            "instant-restore-batched-file", "instant-restore-4part-file",
             "instant-restore-lazy-drain-file",
             "bitrot-logtail-after-recovery-file",
-            "bitrot-logtail-after-recovery-multistream-file",
         } <= names
 
     def test_cli_exit_code_and_output(self, capsys):

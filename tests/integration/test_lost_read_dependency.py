@@ -9,10 +9,13 @@ redo re-executes the first copy against the *new* A and the second copy
 rebuilds C from that: recovery returns a state that differs from the
 oracle without quarantining anything.
 
-Both tests are strict xfails: they document the bug, do not fix it, and
-turn red (XPASS) the moment a fix lands, so whoever fixes it deletes the
-markers.  They shrink the 60 000-op / 8 s repro of servicebench/README.md
-("Known failure") to five operations.
+All three tests are strict xfails: they document the bug, do not fix
+it, and turn red (XPASS) the moment a fix lands, so whoever fixes it
+deletes the markers.  The first two shrink the 60 000-op / 8 s repro of
+servicebench/README.md ("Known failure") to five operations.  The third
+needs neither a checkpoint, ``flush_page`` nor ``identity_install``:
+six actions on the default flush path every servicebench workload uses
+(``execute`` plus oldest-first ``install_some``), no backup involved.
 """
 
 import pytest
@@ -61,3 +64,24 @@ def test_blind_overwrite_of_an_uninstalled_producers_page():
 )
 def test_identity_install_of_an_uninstalled_producers_page():
     assert crash_after(lambda db: db.cm.identity_install(B)) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1, default flush path: B's blind overwrite "
+    "empties CopyOp(A, B)'s node, so A=7 installs before C does and "
+    "redo rebuilds C from it — today diffs == [(C, 7, None)]",
+)
+def test_oldest_first_installs_lose_the_read_dependency():
+    db = Database([8], policy="general")
+    db.execute(CopyOp(A, B))  # reads A's initial value
+    db.execute(PhysicalWrite(A, 7))
+    db.execute(CopyOp(B, C))  # reads B: C's only recovery source
+    db.execute(PhysicalWrite(B, 10))
+    db.install_some(1)
+    db.install_some(1)
+    db.crash()
+    outcome = db.recover(verify=False)
+    assert not outcome.quarantined and not outcome.poisoned
+    assert diff_states(db.stable.snapshot(), db.oracle_state()) == []

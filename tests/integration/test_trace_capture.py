@@ -135,12 +135,12 @@ REPLAY_FAMILIES = {
         _events_of(ev.FAULT_INJECTED, kind=FaultKind.CRASH), 1,
     ),
     "bitrot": (
-        lambda: fs._bitrot_scenarios(0, True, samples=1,
-                                     only=("logtail",))[0],
+        lambda: next(r for r in fs._bitrot_scenarios(0, True, samples=1)
+                     if r.name.startswith("bitrot-logtail")),
         _events_of(ev.FAULT_INJECTED, kind=FaultKind.BITROT), 1,
     ),
     "after-recovery": (
-        lambda: fs._logtail_after_recovery_scenario(0, log_streams=4),
+        lambda: fs._logtail_after_recovery_scenario(0),
         _events_of(ev.CRASH), 2,
     ),
     "instant": (
@@ -188,28 +188,6 @@ class TestReplayDispatch:
             "the replay died"
         )
         assert len(events_of(events)) >= at_least
-
-    def test_after_recovery_replay_keeps_its_log_streams(self, monkeypatch):
-        """The multistream case replays on a striped log: its crash
-        discards report per-stream losses only a striped log has."""
-        seen = []
-        real = fs._run_logtail_after_recovery_one
-
-        def spy(*args, **kwargs):
-            ok, db = real(*args, **kwargs)
-            seen.append(db.log.num_streams)
-            return ok, db
-
-        monkeypatch.setattr(fs, "_run_logtail_after_recovery_one", spy)
-        case = FailureCase(
-            scenario="bitrot-logtail-after-recovery-multistream",
-            label="extra=4",
-            specs=(FaultSpec(FaultKind.BITROT, point=IOPoint.LOG_APPEND,
-                             at_io=1, seed=0),),
-            seed=0, batched=True, log_streams=4,
-        )
-        capture_failure_trace(case)
-        assert seen == [4]
 
 
 class TestTraceCli:

@@ -4,10 +4,11 @@ Twin databases driven by the same seed produce the same log and the same
 sealed backup; one recovers offline (``media_recover``), the other
 through the instant-restore path: either a shuffled mid-restore read
 schedule restores half the pages on demand, or a handful of reads
-restore single pages; the drain restores the rest in bulk.  The final stable snapshots, the recovery-outcome state, the
-replay counters, and the quarantine sets must all match — across
-workloads, fault (bitrot) schedules, storage backends, and serial or
-parallel redo.
+restore single pages; the drain restores the rest in bulk.  The final
+stable snapshots, the recovery-outcome state, the replay counters, and
+the quarantine sets must all match — across workloads, fault (bitrot)
+schedules, batched and page-at-a-time backup sweeps and storage
+backends.
 """
 
 import random
@@ -30,19 +31,17 @@ def _rot(backup, page_id):
     )
 
 
-def _build(seed, rot_sites, backend="memory", data_dir=None, redo_workers=1,
-           log_streams=1):
+def _build(seed, rot_sites, backend="memory", data_dir=None, batched=True):
     """Deterministic workload + interleaved backup; optional backup rot.
 
     ``rot_sites`` is a tuple of copy-order indices to rot in the sealed
-    image (empty = clean run).
+    image (empty = clean run); ``batched`` picks the backup sweep.
     """
     db = Database(pages_per_partition=[12, 12, 12, 12], policy="general",
-                  backend=backend, data_dir=data_dir,
-                  redo_workers=redo_workers, log_streams=log_streams)
+                  backend=backend, data_dir=data_dir)
     rng = random.Random(seed)
     source = mixed_logical_workload(db.layout, seed=seed, count=90)
-    db.start_backup(BackupConfig(steps=4, batched=True))
+    db.start_backup(BackupConfig(steps=4, batched=batched))
     exhausted = False
     while db.backup_in_progress() or not exhausted:
         if db.backup_in_progress():
@@ -83,7 +82,7 @@ def _program(db, seed, many_reads, mid_writes):
         return [("read", pid) for pid in reads]
     program = []
     start = db.latest_backup().media_scan_start_lsn
-    for record in db.log.merge_scan(start):
+    for record in db.log.scan(start):
         read_only = record.op.readset - record.op.writeset
         if read_only:
             source = min(read_only)
@@ -109,8 +108,8 @@ def _run(db, program):
 
 
 def _assert_equivalent(seed, rot_sites, backend="memory",
-                       tmp_path=None, many_reads=True,
-                       redo_workers=1, log_streams=1, mid_writes=False):
+                       tmp_path=None, many_reads=True, mid_writes=False,
+                       batched=True):
     d1 = str(tmp_path / "offline") if tmp_path else None
     d2 = str(tmp_path / "instant") if tmp_path else None
     if d1:
@@ -119,14 +118,14 @@ def _assert_equivalent(seed, rot_sites, backend="memory",
         os.makedirs(d1, exist_ok=True)
         os.makedirs(d2, exist_ok=True)
 
-    offline = _build(seed, rot_sites, backend, d1, redo_workers, log_streams)
+    offline = _build(seed, rot_sites, backend, d1, batched)
     program = _program(offline, seed, many_reads, mid_writes)
     offline.media_failure()
     expected_outcome = offline.media_recover()
     expected_snapshot = offline.stable.snapshot()
     expected_reads = _run(offline, program)
 
-    instant = _build(seed, rot_sites, backend, d2, redo_workers, log_streams)
+    instant = _build(seed, rot_sites, backend, d2, batched)
     oracle = instant.oracle.state()
     initial = instant.initial_value
     instant.media_failure()
@@ -175,18 +174,36 @@ class TestInstantEquivalence:
         _assert_equivalent(seed, rot_sites)
 
 
-#: (many_reads, redo_workers) beyond the many-reads, serial-redo default
-#: above.
-DRAIN_MODES = [(True, 4), (False, 1), (False, 4)]
+class TestSerialSweepEquivalence:
+    """The backup sealed by the page-at-a-time sweep: another copy
+    order, so other pages are restored from before or after their
+    slice records."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_clean_runs_equivalent(self, seed):
+        _assert_equivalent(seed, (), batched=False)
+
+    @given(st.integers(0, 10_000), st.tuples(st.integers(0, 47)))
+    @settings(max_examples=10, deadline=None)
+    def test_rotted_backup_runs_equivalent(self, seed, rot_sites):
+        _assert_equivalent(seed, rot_sites, batched=False)
+
+    @pytest.mark.parametrize("many_reads", [False, True])
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_mid_restore_writes_equivalent(self, many_reads, seed):
+        _assert_equivalent(seed, (), many_reads=many_reads,
+                           mid_writes=True, batched=False)
 
 
-@pytest.mark.parametrize("many_reads,redo_workers", DRAIN_MODES)
-class TestDrainModesEquivalence:
+class TestLazyDrainEquivalence:
+    """A few reads, so the drain restores almost every page in bulk."""
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_clean_runs_equivalent(self, many_reads, redo_workers, seed):
-        _assert_equivalent(seed, (), many_reads=many_reads,
-                           redo_workers=redo_workers)
+    def test_clean_runs_equivalent(self, seed):
+        _assert_equivalent(seed, (), many_reads=False)
 
     @given(
         st.integers(0, 10_000),
@@ -195,23 +212,8 @@ class TestDrainModesEquivalence:
         ),
     )
     @settings(max_examples=20, deadline=None)
-    def test_rotted_backup_runs_equivalent(
-        self, many_reads, redo_workers, seed, rot_sites
-    ):
-        _assert_equivalent(seed, rot_sites, many_reads=many_reads,
-                           redo_workers=redo_workers)
-
-
-class TestStripedLogEquivalence:
-    """A four-stream log: the writer index is fed out of stream order."""
-
-    @pytest.mark.parametrize("many_reads,redo_workers",
-                             [(True, 1)] + DRAIN_MODES)
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_clean_runs_equivalent(self, many_reads, redo_workers, seed):
-        _assert_equivalent(seed, (), many_reads=many_reads,
-                           redo_workers=redo_workers, log_streams=4)
+    def test_rotted_backup_runs_equivalent(self, seed, rot_sites):
+        _assert_equivalent(seed, rot_sites, many_reads=False)
 
 
 class TestMidRestoreWritesEquivalence:
@@ -219,21 +221,17 @@ class TestMidRestoreWritesEquivalence:
     restore target to the same per-page writer lists the evaluator
     reads."""
 
-    @pytest.mark.parametrize("many_reads,log_streams", [
-        (False, 1), (True, 1), (False, 4), (True, 4),
-    ])
+    @pytest.mark.parametrize("many_reads", [False, True])
     @given(st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
-    def test_mid_restore_writes_equivalent(self, many_reads, log_streams,
-                                           seed):
+    def test_mid_restore_writes_equivalent(self, many_reads, seed):
         _assert_equivalent(seed, (), many_reads=many_reads,
-                           log_streams=log_streams, mid_writes=True)
+                           mid_writes=True)
 
     @given(st.integers(0, 10_000), st.tuples(st.integers(0, 47)))
     @settings(max_examples=8, deadline=None)
     def test_mid_restore_writes_with_rotted_backup(self, seed, rot_sites):
-        _assert_equivalent(seed, rot_sites, log_streams=4,
-                           redo_workers=4, mid_writes=True)
+        _assert_equivalent(seed, rot_sites, mid_writes=True)
 
 
 class TestInstantEquivalenceFileBackend:
@@ -247,20 +245,16 @@ class TestInstantEquivalenceFileBackend:
             _assert_equivalent(seed, (), backend="file",
                                tmp_path=Path(tmp))
 
-    @pytest.mark.parametrize("redo_workers", [1, 4])
     @given(
         st.integers(0, 10_000),
         st.just(()) | st.tuples(st.integers(0, 47)),
     )
     @settings(max_examples=4, deadline=None)
-    def test_file_backend_lazy_drain_equivalent(
-        self, redo_workers, seed, rot_sites
-    ):
+    def test_file_backend_lazy_drain_equivalent(self, seed, rot_sites):
         import tempfile
         from pathlib import Path
 
         with tempfile.TemporaryDirectory() as tmp:
             _assert_equivalent(seed, rot_sites, backend="file",
-                               tmp_path=Path(tmp), many_reads=False,
-                               redo_workers=redo_workers)
+                               tmp_path=Path(tmp), many_reads=False)
 

@@ -8,8 +8,10 @@ every flavour (crash, media, media-chain, partition, selective, instant)
 the store must end byte-identical to the reference state, ``{**base,
 **outcome.state}`` must *be* the reference state, and the counters, the
 poison/quarantine sets and the diffs must match — under all three flush
-policies, serial and parallel redo, memory and file backends, and with a
-rotted stable page (crash seed) or backup page (media seed).
+policies, a batched or page-at-a-time full-backup sweep, memory and file
+backends, and with a rotted stable page (crash seed) or backup page
+(media seed).  And every flavour leaves a crash-consistent store: a
+crash straight after it, and crash recovery, change no page.
 """
 
 import random
@@ -54,13 +56,13 @@ FLAVOURS = ["crash", "media", "media-chain", "partition", "selective",
 PARTITIONS = [12, 12, 12, 12]
 
 
-def _build(seed, policy, flavour, redo_workers, backend="memory",
-           data_dir=None, backups=True):
-    """Seeded workload with a full backup taken under it, then an
-    incremental link, then a tail (some of it logged by ``rogue``)."""
+def _build(seed, policy, flavour, backend="memory", data_dir=None,
+           backups=True, batched=True):
+    """Seeded workload with a full backup taken under it (``batched``
+    picks the sweep), then an incremental link, then a tail (some of it
+    logged by ``rogue``)."""
     db = Database(pages_per_partition=PARTITIONS, policy=policy,
-                  backend=backend, data_dir=data_dir,
-                  redo_workers=redo_workers)
+                  backend=backend, data_dir=data_dir)
     rng = random.Random(seed)
     # Partition recovery needs every operation confined to the partition.
     layout = Layout(PARTITIONS[:1]) if flavour == "partition" else db.layout
@@ -74,7 +76,7 @@ def _build(seed, policy, flavour, redo_workers, backend="memory",
 
     run(30)
     if backups:
-        db.start_backup(BackupConfig(steps=4, batched=True))
+        db.start_backup(BackupConfig(steps=4, batched=batched))
         while db.backup_in_progress():
             db.backup_step(8)
             run(2)
@@ -139,7 +141,7 @@ def _recover(db, flavour):
         db.crash()
         seeds = db.stable.damaged_pages()
         base = db.stable.iter_pages()
-        records = log.durable_merge_scan(db.cm.stable_truncation_point)
+        records = log.durable_scan(db.cm.stable_truncation_point)
         if seeds:
             # The quarantine rung: no backup to heal from.
             def recover():
@@ -155,7 +157,7 @@ def _recover(db, flavour):
         db.fail_partition(0)
         base = [(p, v) for p, v in full.iter_pages() if p.partition == 0]
         records = [
-            r for r in log.merge_scan(full.media_scan_start_lsn)
+            r for r in log.scan(full.media_scan_start_lsn)
             if 0 in op_partitions(r)
         ]
         oracle = {p: v for p, v in oracle.items() if p.partition == 0}
@@ -167,7 +169,7 @@ def _recover(db, flavour):
         db.media_failure()
         seeds = full.damaged_pages()  # the only full: no fallback
         base = full.iter_pages()
-        records = log.merge_scan(full.media_scan_start_lsn, log.end_lsn)
+        records = log.scan(full.media_scan_start_lsn, log.end_lsn)
         if flavour == "media":
             def recover():
                 return db.media_recover(backup=full)
@@ -209,43 +211,73 @@ def _assert_matches_reference(db, flavour):
     db.close()
 
 
-@pytest.mark.parametrize("redo_workers", [1, 4])
+@pytest.mark.parametrize("sweep", ["batched", "serial"])
 @pytest.mark.parametrize("policy", sorted(WORKLOADS))
 @pytest.mark.parametrize("flavour", FLAVOURS)
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=6, deadline=None)
-def test_every_flavour_matches_the_reference(
-    flavour, policy, redo_workers, seed
-):
-    _assert_matches_reference(_build(seed, policy, flavour, redo_workers),
-                              flavour)
+def test_every_flavour_matches_the_reference(flavour, policy, sweep, seed):
+    db = _build(seed, policy, flavour, batched=sweep == "batched")
+    _assert_matches_reference(db, flavour)
+
+
+@pytest.mark.parametrize("policy", sorted(WORKLOADS))
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=2, deadline=None)
+def test_file_backend_matches_the_reference(flavour, policy, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        db = _build(seed, policy, flavour, "file", tmp)
+        _assert_matches_reference(db, flavour)
+
+
+@pytest.mark.parametrize("policy", sorted(WORKLOADS))
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=4, deadline=None)
+def test_every_flavour_leaves_a_crash_consistent_store(flavour, policy,
+                                                        seed):
+    """What a recovery installed is durable and agrees with the log and
+    the checkpoint: crash recovery straight after it changes no page."""
+    db = _build(seed, policy, flavour)
+    _recover(db, flavour)
+    recovered = db.stable.snapshot()
+    db.crash()
+    outcome = db.recover(verify=False)
+    assert outcome.quarantined == []
+    assert db.stable.snapshot() == recovered
+    db.close()
 
 
 @pytest.mark.parametrize("flavour", FLAVOURS)
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=2, deadline=None)
-def test_file_backend_matches_the_reference(flavour, seed):
+def test_file_backend_leaves_a_crash_consistent_store(flavour, seed):
     with tempfile.TemporaryDirectory() as tmp:
-        db = _build(seed, "general", flavour, 1, "file", tmp)
-        _assert_matches_reference(db, flavour)
+        db = _build(seed, "general", flavour, "file", tmp)
+        _recover(db, flavour)
+        recovered = db.stable.snapshot()
+        db.crash()
+        assert db.recover(verify=False).quarantined == []
+        assert db.stable.snapshot() == recovered
+        db.close()
 
 
-@pytest.mark.parametrize("redo_workers", [1, 4])
+@pytest.mark.parametrize("policy", sorted(WORKLOADS))
 @given(seed=st.integers(0, 10_000), victim=st.integers(0, 47))
 @settings(max_examples=10, deadline=None)
-def test_rotted_stable_page_is_a_crash_quarantine_seed(
-    redo_workers, seed, victim
-):
-    db = _build(seed, "general", "crash", redo_workers, backups=False)
+def test_rotted_stable_page_is_a_crash_quarantine_seed(policy, seed, victim):
+    db = _build(seed, policy, "crash", backups=False)
     db.stable._rot_cell(list(db.layout.all_pages())[victim])
     _assert_matches_reference(db, "crash")
 
 
+@pytest.mark.parametrize("policy", sorted(WORKLOADS))
 @pytest.mark.parametrize("flavour", ["media", "instant"])
 @given(seed=st.integers(0, 10_000), victim=st.integers(0, 47))
 @settings(max_examples=10, deadline=None)
-def test_rotted_backup_page_is_a_media_seed(flavour, seed, victim):
-    db = _build(seed, "general", flavour, 1)
+def test_rotted_backup_page_is_a_media_seed(flavour, policy, seed, victim):
+    db = _build(seed, policy, flavour)
     full = db._full_backups()[0]
     pid = full.copy_order()[victim % full.copied_count()]
     old = full._versions[pid]

@@ -4,11 +4,11 @@ Every record enters the retained log through ``_admit`` and leaves it
 through ``_evict``, which maintain the incremental statistics and the
 writer index together.  Random schedules of appends, forces, crash
 discards, tail rot + torn-tail repair, prefix truncation and a
-save/load round trip drive both managers; after every step
-``writers(page)`` must equal a brute-force ``merge_scan`` filter over
-the retained log, for every page, and ``stats.snapshot()`` must equal a
-recount.  A threaded case appends from six threads at once onto a
-four-stream log, with a reader bisecting the index meanwhile.
+save/load round trip drive the manager; after every step
+``writers(page)`` must equal a brute-force ``scan`` filter over the
+retained log, for every page, and ``stats.snapshot()`` must equal a
+recount.  A threaded case appends on one thread while another bisects
+the index meanwhile.
 """
 
 import os
@@ -24,7 +24,6 @@ from repro.ids import PageId
 from repro.ops.logical import GeneralLogicalOp
 from repro.ops.physical import PhysicalWrite
 from repro.wal.log_manager import LogManager, LogStats
-from repro.wal.multi_log import MultiLogManager
 from repro.wal.serialize import load_log, save_log
 
 PAGES = [PageId(p, s) for p in range(2) for s in range(5)]
@@ -56,7 +55,7 @@ def _nonzero(snapshot):
 
 def assert_index_matches_log(log):
     first = log.first_retained_lsn
-    retained = list(log.merge_scan(first))
+    retained = list(log.scan(first))
     expected = {}
     recount = LogStats()
     for record in retained:
@@ -76,13 +75,6 @@ def assert_index_matches_log(log):
     # Evicting a page's last writer drops its entry outright.
     assert set(log._page_writers) == set(expected)
     assert _nonzero(log.stats.snapshot()) == _nonzero(recount.snapshot())
-
-
-def _fresh(streams):
-    if streams == 1:
-        return LogManager(auto_force=False)
-    return MultiLogManager(streams=streams, auto_force=False,
-                           group_commit=False)
 
 
 def _apply(log, step, tmp):
@@ -110,10 +102,10 @@ def _apply(log, step, tmp):
     return log
 
 
-@given(schedule=steps, streams=st.sampled_from([1, 4]))
+@given(schedule=steps)
 @settings(max_examples=80, deadline=None)
-def test_index_and_stats_track_every_mutation(schedule, streams):
-    log = _fresh(streams)
+def test_index_and_stats_track_every_mutation(schedule):
+    log = LogManager(auto_force=False)
     with tempfile.TemporaryDirectory() as tmp:
         for step in schedule:
             log = _apply(log, step, tmp)
@@ -121,19 +113,17 @@ def test_index_and_stats_track_every_mutation(schedule, streams):
 
 
 def test_concurrent_appends_keep_the_index_ordered():
-    """Six appender threads on four streams, one index reader."""
-    log = MultiLogManager(streams=4, auto_force=True)
-    appenders, per_thread = 6, 1000
+    """One appender thread, one index reader on another thread."""
+    log = LogManager(auto_force=True)
+    appends = 6000
     bound = []
     errors = []
-    start = threading.Barrier(appenders + 1)
+    start = threading.Barrier(2)
 
     def appender(seed):
         rng = random.Random(seed)
         start.wait()
-        for _ in range(per_thread):
-            # Multi-page writesets route by their smallest page, so the
-            # same page's list is fed from several streams at once.
+        for _ in range(appends):
             writes = rng.sample(PAGES, rng.randrange(1, 4))
             log.append(GeneralLogicalOp([], writes, "concat_sorted"))
 
@@ -145,8 +135,7 @@ def test_concurrent_appends_keep_the_index_ordered():
                 if lsns != sorted(set(lsns)) or any(l > 3000 for l in lsns):
                     errors.append((page, lsns))
 
-    threads = [threading.Thread(target=appender, args=(i,))
-               for i in range(appenders)]
+    threads = [threading.Thread(target=appender, args=(0,))]
     watcher = threading.Thread(target=reader)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -161,5 +150,5 @@ def test_concurrent_appends_keep_the_index_ordered():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads + [watcher])
     assert not errors
-    assert log.end_lsn == appenders * per_thread
+    assert log.end_lsn == appends
     assert_index_matches_log(log)

@@ -502,7 +502,7 @@ class TestRestoreToLsn:
             cut = generation.completion_lsn
             expected = {}
             RedoReplayer(initial_value=db.initial_value).replay(
-                db.log.merge_scan(1, cut), expected
+                db.log.scan(1, cut), expected
             )
             db.media_failure()
             assert db.restore_to_lsn(cut).ok

@@ -73,7 +73,7 @@ class TestFactory:
         backup = backend.create_backup(1, 0)
         assert isinstance(stable, PageStore)
         assert isinstance(backup, BackupStore)
-        device = backend.create_log_device(2)
+        device = backend.create_log_device()
         if device is not None:
             assert isinstance(device, LogDevice)
 
@@ -156,6 +156,25 @@ class TestLogDurabilityCut:
         db.crash()
         assert db.log.flushed_lsn >= forced
         assert db.recover().ok
+
+    def test_work_after_a_recovery_recovers(self, db):
+        """LSNs continue densely after a crash, and a second crash
+        recovers the work done since the first."""
+        for slot in range(8):
+            db.execute(PhysicalWrite(pid(slot), ("r", slot)))
+        db.crash()
+        assert db.recover().ok
+        end = db.log.end_lsn
+        for slot in range(4, 12):
+            db.execute(PhysicalWrite(pid(slot), ("s", slot)))
+        assert [r.lsn for r in db.log.scan(end + 1)] == list(
+            range(end + 1, end + 9)
+        )
+        expected = db.oracle_state()
+        assert len(expected) == 12
+        db.crash()
+        assert db.recover().ok
+        assert all(db.read(p) == v for p, v in expected.items())
 
     def test_backup_and_media_recovery(self, db):
         source = mixed_logical_workload(db.layout, seed=3, count=60)

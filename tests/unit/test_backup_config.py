@@ -44,6 +44,24 @@ class TestBackupConfig:
             BackupConfig(incremental=True, engine="naive")
 
 
+    def test_one_sweep_thread_one_log_one_replay_loop(self):
+        """No knob selects a sweep pool, a striped log or parallel
+        redo: the config has exactly these ten fields, and neither it
+        nor ``Database`` accepts the removed ones."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(BackupConfig)] == [
+            "steps", "pages_per_tick", "incremental", "dynamic_extend",
+            "batched", "engine", "backend", "data_dir",
+            "incremental_every", "compact_threshold",
+        ]
+        for knob in ("workers", "log_streams", "redo_workers"):
+            with pytest.raises(TypeError):
+                BackupConfig(**{knob: 2})
+            with pytest.raises(TypeError):
+                Database(pages_per_partition=[4], **{knob: 2})
+
+
 class TestStartBackupAPI:
     def test_config_object_accepted(self):
         db = seeded_db()

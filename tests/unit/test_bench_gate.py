@@ -86,7 +86,15 @@ def test_missing_baseline_file_raises(tmp_path):
                           str(tmp_path / "absent.json"), quiet=True)
 
 
-def test_append_force_benchmarks_registered():
-    for name in ("log_append_force_single", "log_append_force_gc1",
-                 "log_append_force_4s"):
-        assert name in BENCHMARKS
+def test_retired_baseline_benchmark_is_not_gated(tmp_path):
+    # A name the baseline still carries but the current run no longer
+    # produces (a deleted benchmark) neither fails nor blocks the gate.
+    path = _baseline(tmp_path / "b.json",
+                     {"bench": [10.0, 10.0, 10.0],
+                      "retired": [1.0, 1.0, 1.0]})
+    assert check_regressions({"bench": {"min_ms": 10.0}}, path,
+                             quiet=True) == []
+
+
+def test_append_force_benchmark_registered():
+    assert "log_append_force_file" in BENCHMARKS

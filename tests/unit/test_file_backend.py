@@ -1,9 +1,9 @@
 """Unit tests for the file-backed storage backend.
 
 Covers what the backend-conformance suite cannot: the on-disk artifacts
-themselves (page files, the doublewrite journal, per-stream WAL files),
-byte-identity of sealed archives across backends and sweep thread
-counts, and the format-2 streaming archive verifier.
+themselves (page files, the doublewrite journal, the WAL file),
+byte-identity of sealed archives across backends, and the format-2
+streaming archive verifier.
 """
 
 import json
@@ -28,7 +28,7 @@ from repro.storage.archive import (
 from repro.storage.file_backend import FileLogDevice, FileStableDatabase
 from repro.storage.layout import Layout
 from repro.storage.page import PageVersion, page_checksum
-from repro.wal.multi_log import MultiLogManager
+from repro.wal.log_manager import LogManager
 from repro.wal.serialize import record_from_spec
 from repro.workloads import mixed_logical_workload
 
@@ -117,10 +117,9 @@ class TestFileStableDatabase:
 
 
 class TestFileLogDevice:
-    def _log(self, tmp_path, streams=2):
-        log = MultiLogManager(streams=streams, auto_force=False,
-                              group_commit=True, force_delay_s=0.0)
-        device = FileLogDevice(str(tmp_path / "wal"), streams=streams)
+    def _log(self, tmp_path):
+        log = LogManager(auto_force=False)
+        device = FileLogDevice(str(tmp_path / "wal"))
         log.attach_device(device)
         return log, device
 
@@ -129,24 +128,19 @@ class TestFileLogDevice:
         log, device = self._log(tmp_path)
         for i in range(6):
             log.append(PhysicalWrite(pid(i % 4), ("r", i)))
-        sizes = [os.path.getsize(p) for p in device.paths]
-        assert sizes == [0, 0]
+        assert os.path.getsize(device.path) == 0
         log.force()
         assert device.syncs == 1
-        assert sum(os.path.getsize(p) for p in device.paths) > 0
+        assert os.path.getsize(device.path) > 0
 
     def test_file_records_parse_back(self, tmp_path):
         log, device = self._log(tmp_path)
         for i in range(6):
             log.append(PhysicalWrite(pid(i % 4), ("r", i)))
         log.force()
-        lsns = []
-        for path in device.paths:
-            with open(path) as fh:
-                for line in fh:
-                    record = record_from_spec(json.loads(line))
-                    lsns.append(record.lsn)
-        assert sorted(lsns) == [1, 2, 3, 4, 5, 6]
+        with open(device.path) as fh:
+            lsns = [record_from_spec(json.loads(line)).lsn for line in fh]
+        assert lsns == [1, 2, 3, 4, 5, 6]
 
     def test_drop_pending_discards_unforced(self, tmp_path):
         log, device = self._log(tmp_path)
@@ -155,21 +149,50 @@ class TestFileLogDevice:
         log.append(PhysicalWrite(pid(1), ("lost",)))
         log.discard_unflushed()
         device.sync()
-        total_lines = 0
-        for path in device.paths:
-            with open(path) as fh:
-                total_lines += sum(1 for _ in fh)
-        assert total_lines == 1
+        with open(device.path) as fh:
+            assert sum(1 for _ in fh) == 1
+
+    def test_lsns_lost_in_a_crash_are_reused_in_the_file(self, tmp_path):
+        log, device = self._log(tmp_path)
+        for i in range(2):
+            log.append(PhysicalWrite(pid(i), ("kept", i)))
+        log.force()
+        log.append(PhysicalWrite(pid(2), ("lost",)))
+        log.discard_unflushed()
+        log.append(PhysicalWrite(pid(3), ("after",)))
+        log.force()
+        with open(device.path) as fh:
+            records = [record_from_spec(json.loads(line)) for line in fh]
+        assert [r.lsn for r in records] == [1, 2, 3]
+        assert records[-1].op.value == ("after",)
+
+    def test_database_wal_file_is_its_durable_log(self, tmp_path):
+        """Through a database crash the WAL file holds exactly the
+        records the log kept: each page flush forced the log first."""
+        db = Database(pages_per_partition=[8], backend="file",
+                      data_dir=str(tmp_path), auto_force_log=False)
+        for i in range(20):
+            db.execute(PhysicalWrite(pid(i % 8), ("v", i)))
+        db.install_some(3)
+        for i in range(5):
+            db.execute(PhysicalWrite(pid(i), ("tail", i)))
+        db.crash()
+        path = os.path.join(str(tmp_path), "wal", "stream0.log")
+        with open(path) as fh:
+            lsns = [record_from_spec(json.loads(line)).lsn for line in fh]
+        assert lsns == [r.lsn for r in db.log.scan()]
+        assert lsns == list(range(1, db.log.flushed_lsn + 1))
+        assert db.log.flushed_lsn >= 1
+        db.close()
 
 
 class TestSealedBackupByteIdentity:
-    def _archive_bytes(self, tmp_path, name, backend, workers):
+    def _archive_bytes(self, tmp_path, name, backend):
         data_dir = str(tmp_path / name)
         db = Database(pages_per_partition=[8, 8, 8, 8], policy="general",
                       backend=backend, data_dir=data_dir)
         source = mixed_logical_workload(db.layout, seed=11, count=40)
-        cfg = BackupConfig(steps=4, batched=True, workers=workers,
-                           backend=backend,
+        cfg = BackupConfig(steps=4, batched=True, backend=backend,
                            data_dir=data_dir if backend == "file" else None)
         db.start_backup(cfg)
         while db.backup_in_progress():
@@ -185,15 +208,12 @@ class TestSealedBackupByteIdentity:
         with open(path, "rb") as fh:
             return fh.read()
 
-    def test_identical_across_backends_and_executors(self, tmp_path):
+    def test_identical_across_backends(self, tmp_path):
         """The same seeded run seals byte-identical archives on the
-        memory backend, the file backend reading spans inline, and the
-        file backend reading them on four threads."""
-        memory = self._archive_bytes(tmp_path, "mem", "memory", 1)
-        file_inline = self._archive_bytes(tmp_path, "f1", "file", 1)
-        file_threads = self._archive_bytes(tmp_path, "f4", "file", 4)
-        assert memory == file_inline
-        assert file_inline == file_threads
+        memory and the file backend."""
+        memory = self._archive_bytes(tmp_path, "mem", "memory")
+        on_file = self._archive_bytes(tmp_path, "f1", "file")
+        assert memory == on_file
 
 
 class TestStreamingArchive:

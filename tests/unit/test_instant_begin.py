@@ -3,10 +3,10 @@
 ``RestoreManager.begin`` bounds the media-log slice and formats the
 store; the first query then replays only the probe page's writers,
 looked up in the log's per-page writer index.  Guarded here on both
-storage backends and on single- and four-stream logs:
+storage backends:
 
 * from ``begin_instant_restore()`` through the first read,
-  ``merge_scan`` and ``scan`` are never called;
+  ``scan`` is never called;
 * on a slice of 100 k records where the probe page has ``k`` single-page
   writers, the first read makes at most ``k`` redo-kernel calls;
 * records appended above the target share the writer lists and are
@@ -27,14 +27,14 @@ from repro.ops.physical import PhysicalWrite
 from repro.ops.physiological import PhysiologicalWrite
 from repro.workloads import mixed_logical_workload
 
-MODES = [("memory", 1), ("memory", 4), ("file", 1), ("file", 4)]
+BACKENDS = ["memory", "file"]
 PROBE = PageId(1, 3)
 
 
-def _db(backend, streams, tmp_path, pages=12):
+def _db(backend, tmp_path, pages=12):
     return Database(
         pages_per_partition=[pages, pages], policy="general",
-        backend=backend, log_streams=streams,
+        backend=backend,
         data_dir=str(tmp_path) if backend == "file" else None,
     )
 
@@ -57,15 +57,14 @@ def _forbid(monkeypatch, log):
     def boom(*args, **kwargs):
         raise AssertionError("instant restore read the log by scanning")
 
-    monkeypatch.setattr(log, "merge_scan", boom)
     monkeypatch.setattr(log, "scan", boom)
 
 
-@pytest.mark.parametrize("backend,streams", MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_begin_and_first_read_never_scan_the_log(
-    backend, streams, tmp_path, monkeypatch
+    backend, tmp_path, monkeypatch
 ):
-    db = _backed_up(_db(backend, streams, tmp_path))
+    db = _backed_up(_db(backend, tmp_path))
     expected = db.oracle_state()
     db.media_failure()
     with monkeypatch.context() as patch:
@@ -78,11 +77,11 @@ def test_begin_and_first_read_never_scan_the_log(
     db.close()
 
 
-@pytest.mark.parametrize("backend,streams", MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_first_read_replays_only_the_probe_pages_writers(
-    backend, streams, tmp_path, monkeypatch
+    backend, tmp_path, monkeypatch
 ):
-    db = _db(backend, streams, tmp_path, pages=32)
+    db = _db(backend, tmp_path, pages=32)
     db.start_backup(BackupConfig(steps=2))
     db.run_backup(BackupConfig(pages_per_tick=16))
     # 100 k single-page records, k of them on the probe page.  Appended
@@ -118,12 +117,12 @@ def test_first_read_replays_only_the_probe_pages_writers(
     db.close()
 
 
-@pytest.mark.parametrize("streams", [1, 4])
-def test_records_above_the_target_never_replay(streams, tmp_path,
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_records_above_the_target_never_replay(backend, tmp_path,
                                                monkeypatch):
     """Records appended after begin share the probe's writer list; the
     lookup cuts it at the target, so none of them is ever applied."""
-    db = _backed_up(_db("memory", streams, tmp_path))
+    db = _backed_up(_db(backend, tmp_path))
     expected = db.oracle_state()[PROBE]
     db.media_failure()
     manager = db.begin_instant_restore(verify=False)
@@ -145,20 +144,20 @@ def test_records_above_the_target_never_replay(streams, tmp_path,
     db.close()
 
 
-def _expected_after_restore(streams, tmp_path):
-    twin = _backed_up(_db("memory", streams, tmp_path))
+def _expected_after_restore(tmp_path):
+    twin = _backed_up(_db("memory", tmp_path))
     twin.media_failure()
     outcome = twin.media_recover()
     return outcome, twin.stable.snapshot()
 
 
-@pytest.mark.parametrize("streams", [1, 4])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("read_all", [False, True])
-def test_active_restore_pins_its_slice(streams, read_all, tmp_path):
-    expected_outcome, expected_snapshot = _expected_after_restore(
-        streams, tmp_path
-    )
-    db = _backed_up(_db("memory", streams, tmp_path))
+def test_active_restore_pins_its_slice(read_all, backend, tmp_path):
+    """On either backend the result is the offline recovery's on a
+    memory-backed twin."""
+    expected_outcome, expected_snapshot = _expected_after_restore(tmp_path)
+    db = _backed_up(_db(backend, tmp_path))
     db.media_failure()
     manager = db.begin_instant_restore()
     chosen = manager.chosen
@@ -177,3 +176,4 @@ def test_active_restore_pins_its_slice(streams, read_all, tmp_path):
     # The drain returned: the pin is gone with it.
     db.truncate_log()
     assert db.log.first_retained_lsn > chosen.media_scan_start_lsn
+    db.close()

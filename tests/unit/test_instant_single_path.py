@@ -7,28 +7,25 @@
 * A crash in the middle of an instant restore is recoverable: the
   restore's log pin is released and ``recover()`` finishes it as media
   recovery from the generation it had chosen, mid-restore traffic
-  included — on both storage backends, single- and four-stream logs.
+  included — on both storage backends.
 """
 
 import concurrent.futures
 
 import pytest
 
-from repro.core import backup_engine
 from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import ReproError
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
-from repro.recovery import parallel_redo
 
 
-def _db(backend="memory", log_streams=1, tmp_path=None):
+def _db(backend="memory", tmp_path=None):
     """Two partitions of eight pages, all written, checkpointed and
     backed up, then P0:0-7 rewritten after the backup."""
     db = Database([8, 8], policy="general", backend=backend,
-                  data_dir=str(tmp_path) if backend == "file" else None,
-                  log_streams=log_streams)
+                  data_dir=str(tmp_path) if backend == "file" else None)
     for page in db.layout.all_pages():
         db.execute(PhysicalWrite(page, ("v", str(page))))
     db.checkpoint()
@@ -47,8 +44,7 @@ def _no_pool(*args, **kwargs):
 def test_no_executor_from_begin_to_finish(backend, tmp_path, monkeypatch):
     db = _db(backend, tmp_path=tmp_path)
     expected = db.oracle_state()
-    for module in (concurrent.futures, backup_engine, parallel_redo):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_pool)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     db.media_failure()
     db.begin_instant_restore()
@@ -69,10 +65,9 @@ def test_eager_pool_is_refused():
     assert db.finish_instant_restore().ok
 
 
-@pytest.mark.parametrize("log_streams", [1, 4])
 @pytest.mark.parametrize("backend", ["memory", "file"])
-def test_crash_mid_restore_recovers(backend, log_streams, tmp_path):
-    db = _db(backend, log_streams, tmp_path)
+def test_crash_mid_restore_recovers(backend, tmp_path):
+    db = _db(backend, tmp_path)
     db.media_failure()
     manager = db.begin_instant_restore()
     db.read(PageId(0, 1))

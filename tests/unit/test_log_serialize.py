@@ -195,3 +195,32 @@ class TestLogRoundtrip:
         )
         for page, value in expected.items():
             assert replacement.stable.read_page(page).value == value
+
+
+class TestLogFormat:
+    def test_log_file_is_format1_and_reloads_its_stats(self, tmp_path):
+        import json
+
+        from repro.wal.log_manager import LogManager
+
+        log = LogManager()
+        for i in range(10):
+            log.append(PhysicalWrite(pid(i % 8), (i,)))
+        path = str(tmp_path / "plain.log")
+        save_log(log, path)
+        with open(path) as fh:
+            assert json.load(fh)["format"] == 1
+        loaded = load_log(path)
+        assert loaded.stats.records == loaded.count() == 10
+
+    def test_format2_file_is_rejected_not_misread(self, tmp_path):
+        """The striped-log envelope (format 2) is no longer written, and
+        a file in it is refused rather than loaded as a single log."""
+        import json
+
+        path = str(tmp_path / "striped.log")
+        with open(path, "w") as fh:
+            json.dump({"format": 2, "log_streams": 2, "first_lsn": 1,
+                       "flushed_lsn": 0, "streams": []}, fh)
+        with pytest.raises(LogError, match="unsupported log format 2"):
+            load_log(path)

@@ -32,20 +32,16 @@ from repro.storage.layout import Layout
 from repro.storage.page import PageVersion
 from repro.storage.stable_db import StableDatabase
 from repro.wal.log_manager import LogManager
-from repro.wal.multi_log import MultiLogManager
 from repro.wal.serialize import record_checksum
 from tests.conftest import fixed_tail_db
 
 BACKENDS = ["memory", "file"]
 
 
-def make_log(streams, backend, tmp_path):
-    log = (
-        LogManager(auto_force=False) if streams == 1
-        else MultiLogManager(streams=streams, auto_force=False)
-    )
+def make_log(backend, tmp_path):
+    log = LogManager(auto_force=False)
     if backend == "file":
-        log.attach_device(FileLogDevice(str(tmp_path / "wal"), streams))
+        log.attach_device(FileLogDevice(str(tmp_path / "wal")))
     return log
 
 
@@ -59,11 +55,10 @@ def fill(log, count, start=0):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("streams", [1, 4])
 def test_second_repair_verifies_only_new_records(
-    streams, backend, tmp_path, monkeypatch
+    backend, tmp_path, monkeypatch
 ):
-    log = make_log(streams, backend, tmp_path)
+    log = make_log(backend, tmp_path)
     fill(log, 100_000)
     calls = []
     verify = log.verify_record
@@ -207,9 +202,10 @@ class TestCleanRecoveryWalksNoValue:
 # ------------------------------------------------------------- correctness
 
 
-@pytest.mark.parametrize("streams", [1, 4])
-def test_rot_after_recovery_is_cut(streams):
-    db = Database(pages_per_partition=[16], log_streams=streams)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rot_after_recovery_is_cut(backend, tmp_path):
+    db = Database(pages_per_partition=[16], backend=backend,
+                  data_dir=str(tmp_path) if backend == "file" else None)
     for i in range(40):
         db.execute(PhysicalWrite(PageId(0, i % 16), ("v", i)))
     db.crash()
@@ -223,6 +219,7 @@ def test_rot_after_recovery_is_cut(streams):
     assert db.log.end_lsn == end - 1
     assert db.log.damaged_records() == []
     assert db.log.tail_repair_dropped == 1
+    db.close()
 
 
 def test_lost_lsn_reused_after_crash_is_verified():
