@@ -19,6 +19,8 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
+from repro.core.linked_flush import LinkedFlushBackup
 from repro.db import Database
 from repro.harness.reporting import format_table
 from repro.workloads import mixed_logical_workload
@@ -32,7 +34,7 @@ def run_workload(mode, seed=21):
     workload = mixed_logical_workload(db.layout, seed=seed, count=OPS)
     rng = random.Random(seed)
     if mode == "engine":
-        db.start_backup(steps=8)
+        db.start_backup(BackupConfig(steps=8))
     executed = 0
     for op in workload:
         db.execute(op)
@@ -44,15 +46,16 @@ def run_workload(mode, seed=21):
     if mode == "engine":
         while db.backup_in_progress():
             db.backup_step(16)
-    elif mode == "linked":
-        db.linked.run()
+    linked = LinkedFlushBackup(db.cm, storage=db.storage)
+    if mode == "linked":
+        linked.run()
     return {
         "mode": mode,
         "executed": executed,
         "log_records": db.log.end_lsn,
         "iwof": db.metrics.iwof_records,
         "page_writes": db.stable.page_writes,
-        "forced_flushes": db.linked.forced_flushes,
+        "forced_flushes": linked.forced_flushes,
         "records_per_op": db.log.end_lsn / executed,
     }
 

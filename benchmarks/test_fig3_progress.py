@@ -7,6 +7,7 @@ and the remaining Pend — verified against a live backup run.
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.core.progress import BackupRegion
 from repro.db import Database
 from repro.harness.reporting import format_table
@@ -15,7 +16,7 @@ from repro.harness.reporting import format_table
 @pytest.fixture(scope="module")
 def walk():
     db = Database(pages_per_partition=[128], policy="general")
-    db.start_backup(steps=4)
+    db.start_backup(BackupConfig(steps=4))
     size = db.layout.partition_size(0)
     progress = db.cm.progress[0]
     snapshots = []
@@ -77,8 +78,8 @@ class TestFig3Timing:
     def test_benchmark_full_sweep(self, benchmark):
         def sweep():
             db = Database(pages_per_partition=[512], policy="general")
-            db.start_backup(steps=8)
-            return db.run_backup(pages_per_tick=64)
+            db.start_backup(BackupConfig(steps=8))
+            return db.run_backup(BackupConfig(pages_per_tick=64))
 
         backup = benchmark(sweep)
         assert backup.is_complete

@@ -12,6 +12,7 @@ the closed forms — a finer-grained validation than the Figure 5 average.
 import pytest
 
 from repro.core import analysis
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.harness.reporting import format_table
 from repro.sim.runner import InterleavedRun
@@ -34,7 +35,7 @@ def measure_steps(kind, pages=2048, seeds=(1, 2, 3, 4)):
         )
         run = InterleavedRun(
             db, workload, seed=seed, ops_per_tick=3, installs_per_tick=3,
-            backup_pages_per_tick=8, backup_steps=STEPS,
+            backup=BackupConfig(steps=STEPS, pages_per_tick=8),
         )
         result = run.run(max_ticks=20_000)
         assert result.backup is not None

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.harness.reporting import format_table
 from repro.workloads.skewed import hotspot_workload
@@ -27,7 +28,7 @@ def run_with_install_rate(installs_per_tick, ops=600, seed=3):
     db = Database(pages_per_partition=[256], policy="general")
     workload = hotspot_workload(db.layout, seed=seed, count=None)
     rng = random.Random(seed)
-    db.start_backup(steps=8)
+    db.start_backup(BackupConfig(steps=8))
     executed = 0
     while db.backup_in_progress():
         db.backup_step(2)

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.harness.reporting import format_table
 from repro.ids import PageId
@@ -27,7 +28,7 @@ def run_config(pages_per_partition, seed=17, steps=4):
     db = Database(pages_per_partition=pages_per_partition, policy="general")
     rng = random.Random(seed)
     layout = db.layout
-    db.start_backup(steps=steps)
+    db.start_backup(BackupConfig(steps=steps))
     ticks = 0
     while db.backup_in_progress():
         db.backup_step(8)

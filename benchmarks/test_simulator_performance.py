@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.btree import BTree
 from repro.workloads import copy_chain_workload, mixed_logical_workload
@@ -76,8 +77,8 @@ class TestExecutionPath:
 
         def sweep():
             db.engine.completed.clear()
-            db.start_backup(steps=8)
-            return db.run_backup(pages_per_tick=256)
+            db.start_backup(BackupConfig(steps=8))
+            return db.run_backup(BackupConfig(pages_per_tick=256))
 
         backup = benchmark(sweep)
         assert backup.copied_count() == 4096

@@ -14,8 +14,8 @@ The paper's file-system example (section 1.1): ``copy(X, Y)`` and
 Run:  python examples/filesystem_copy_sort.py
 """
 
-from repro import BackupConfig
-from repro import Database
+from repro import BackupConfig, Database
+from repro.core import NaiveFuzzyDump
 from repro.appfs import FileSystem
 from repro.ids import PageId
 
@@ -55,10 +55,11 @@ def main():
         fs = build_fs(db)
         db.checkpoint()
         if kind == "naive":
+            naive = NaiveFuzzyDump(db.cm, storage=db.storage)
             backup = straddling_copy(
                 db, fs,
-                db.naive.start_backup, db.naive.copy_some,
-                db.naive.run_to_completion,
+                naive.start_backup, naive.copy_some,
+                naive.run_to_completion,
             )
         else:
             backup = straddling_copy(

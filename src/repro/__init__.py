@@ -91,7 +91,7 @@ from repro.sim.faults import (
 )
 from repro.txn import Transaction, TransactionManager
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # The system

@@ -141,15 +141,14 @@ class ArchiveManager:
     def __init__(
         self,
         db,
-        incremental_every: Optional[int] = None,
-        compact_threshold: Optional[int] = None,
+        config: Optional[BackupConfig] = None,
         manifest_store=None,
-        sweep_config: Optional[BackupConfig] = None,
     ):
+        """``config`` gives the sweep shape of every generation taken and
+        the :meth:`tick` schedule (``incremental_every``,
+        ``compact_threshold``)."""
         self.db = db
-        self.incremental_every = incremental_every
-        self.compact_threshold = compact_threshold
-        self.sweep_config = sweep_config or BackupConfig()
+        self.config = config or BackupConfig()
         if manifest_store is None:
             data_dir = getattr(db.storage, "data_dir", None)
             manifest_store = (
@@ -306,7 +305,7 @@ class ArchiveManager:
 
     def run_full(self, tick=None) -> BackupDatabase:
         """Take the chain's base full backup."""
-        cfg = replace(self.sweep_config, incremental=False)
+        cfg = replace(self.config, incremental=False)
         self.db.start_backup(cfg)
         backup = self.db.run_backup(cfg, tick=tick)
         self.register(backup, KIND_FULL)
@@ -328,7 +327,7 @@ class ArchiveManager:
                 "run_full() (or tick()) first"
             )
         self.db.updated_since_backup |= self.db.cm.rec.dirty_pages()
-        cfg = replace(self.sweep_config, incremental=True)
+        cfg = replace(self.config, incremental=True)
         self.db.start_backup(cfg)
         backup = self.db.run_backup(cfg, tick=tick)
         self.register(backup, KIND_INCREMENTAL)
@@ -348,17 +347,13 @@ class ArchiveManager:
         """
         if not self.manifest.generations:
             return self.run_full(tick=tick)
-        if (
-            self.compact_threshold is not None
-            and self.links() >= self.compact_threshold
-        ):
+        threshold = self.config.compact_threshold
+        if threshold is not None and self.links() >= threshold:
             return self.compact()
-        if self.incremental_every is not None:
+        every = self.config.incremental_every
+        if every is not None:
             last = self.manifest.generations[-1]
-            if (
-                self.db.log.end_lsn - last.completion_lsn
-                >= self.incremental_every
-            ):
+            if self.db.log.end_lsn - last.completion_lsn >= every:
                 return self.run_incremental(tick=tick)
         return None
 

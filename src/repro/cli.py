@@ -36,6 +36,7 @@ import sys
 from repro.core import analysis
 from repro.harness import experiments
 from repro.harness.reporting import format_table
+from repro.storage.api import BACKENDS
 
 
 def cmd_bench(args) -> int:
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
         ),
     )
     faultsweep.add_argument(
-        "--backend", choices=["memory", "file"], default="memory",
+        "--backend", choices=BACKENDS, default="memory",
         help="storage backend the sweep runs against (file = the pinned "
         "smoke matrix on real files)",
     )
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
         "log ranges end-to-end, rot a middle generation, heal, re-verify",
     )
     scrub.add_argument(
-        "--backend", choices=["memory", "file"], default="memory",
+        "--backend", choices=BACKENDS, default="memory",
         help="storage backend for the self-check database",
     )
     scrub.add_argument(
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
         help="free-form annotation stored on the entry",
     )
     bench.add_argument(
-        "--backend", choices=["memory", "file", "all"], default="memory",
+        "--backend", choices=(*BACKENDS, "all"), default="memory",
         help="which benchmarks to run: simulated hot paths (memory, "
         "default), file-backed storage benchmarks (file), or both (all)",
     )

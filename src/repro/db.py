@@ -22,14 +22,11 @@ True
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.cache_manager import CacheManager
 from repro.core.backup_engine import BackupEngine, BackupRun
 from repro.core.config import BackupConfig
-from repro.core.linked_flush import LinkedFlushBackup
-from repro.core.naive_backup import NaiveFuzzyDump
 from repro.core.incremental import run_media_recovery_chain
 from repro.core.partial_recovery import run_partition_media_recovery
 from repro.core.retention import LogRetention
@@ -62,10 +59,8 @@ from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord, RecordFlag
 
 _POLICIES = {
-    "general": GeneralOpsPolicy,
-    "tree": TreeOpsPolicy,
-    "page": PageOrientedPolicy,
-    "page-oriented": PageOrientedPolicy,
+    cls.name: cls
+    for cls in (GeneralOpsPolicy, TreeOpsPolicy, PageOrientedPolicy)
 }
 
 
@@ -103,19 +98,16 @@ class Database:
         policy: Union[str, FlushPolicy] = "general",
         initial_value: Any = None,
         auto_force_log: bool = True,
-        faults: Optional[FaultPlane] = None,
         tracer=None,
         backend: str = "memory",
         data_dir: Optional[str] = None,
-        storage=None,
     ):
         """``backend``/``data_dir`` select the storage backend (see
         :func:`repro.storage.api.open_backend`): ``"memory"`` keeps the
         in-memory stores, ``"file"`` puts the stable pages, the WAL
         and every backup image on real files under ``data_dir``
-        with explicit ``fsync``.  ``storage`` accepts a pre-built
-        :class:`~repro.storage.api.StorageBackend` instead; ``close()``
-        releases whatever the backend opened."""
+        with explicit ``fsync``; ``close()`` releases whatever the
+        backend opened.  Faults are wired with :meth:`attach_faults`."""
         if isinstance(policy, str):
             try:
                 policy = _POLICIES[policy]()
@@ -128,11 +120,7 @@ class Database:
         self.initial_value = initial_value
         from repro.storage.api import open_backend
 
-        self.storage = (
-            storage
-            if storage is not None
-            else open_backend(backend=backend, data_dir=data_dir)
-        )
+        self.storage = open_backend(backend, data_dir)
         self.stable = self.storage.create_stable(self.layout, initial_value)
         self.metrics = Metrics()
         self.log = LogManager(auto_force=auto_force_log)
@@ -148,8 +136,6 @@ class Database:
         )
         self.oracle = Oracle(self.log, initial_value)
         self.engine = BackupEngine(self.cm, storage=self.storage)
-        self.naive = NaiveFuzzyDump(self.cm, storage=self.storage)
-        self.linked = LinkedFlushBackup(self.cm, storage=self.storage)
         self.retention = LogRetention(self.cm, self.engine)
         self.checkpoints = CheckpointManager(self.log, lambda: self.cm.rec)
         # Pages updated since the last completed full/incremental backup,
@@ -159,8 +145,6 @@ class Database:
         # updated_since_backup: an aborted sweep hands them back, so only
         # a seal discharges them.
         self._sweep_owed: Optional[Tuple[BackupRun, Set[PageId]]] = None
-        # Which engine the active backup belongs to ("engine"/"naive").
-        self._backup_engine_kind = "engine"
         # The log-structured archive tier, attached on demand
         # (attach_archive); None until then.
         self.archive = None
@@ -174,8 +158,6 @@ class Database:
         self.tracer = NULL_TRACER
         if tracer is not None:
             self.attach_tracer(tracer)
-        if faults is not None:
-            self.attach_faults(faults)
 
     # ---------------------------------------------------------- observability
 
@@ -333,76 +315,16 @@ class Database:
 
     # ---------------------------------------------------------------- backup
 
-    _LEGACY_BACKUP_KWARGS = (
-        "steps", "incremental", "dynamic_extend", "batched",
-    )
+    def start_backup(self, config: Optional[BackupConfig] = None) -> BackupRun:
+        """Begin an online backup shaped by ``config``; drive it with
+        :meth:`backup_step` or :meth:`run_backup`.
 
-    def _resolve_backup_config(
-        self, config, legacy: dict, method: str
-    ) -> BackupConfig:
-        """Accept a :class:`BackupConfig` or the deprecated keyword/
-        positional shape; normalize to a config."""
-        if isinstance(config, int):
-            # Legacy positional: start_backup(8) meant steps=8.
-            legacy = dict(legacy, steps=config)
-            config = None
-        supplied = {k: v for k, v in legacy.items() if v is not None}
-        if config is not None:
-            if not isinstance(config, BackupConfig):
-                raise ReproError(
-                    f"{method} expects a BackupConfig, got {config!r}"
-                )
-            if supplied:
-                raise ReproError(
-                    f"{method}: pass either a BackupConfig or the legacy "
-                    f"keywords, not both ({sorted(supplied)})"
-                )
-            return config
-        if supplied:
-            warnings.warn(
-                f"Database.{method}({', '.join(sorted(supplied))}=...) is "
-                "deprecated; pass a repro.BackupConfig instead (legacy "
-                "keywords are kept as an alias until 2.0)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BackupConfig(**supplied)
-
-    def start_backup(
-        self,
-        config: Optional[BackupConfig] = None,
-        *,
-        steps: Optional[int] = None,
-        incremental: Optional[bool] = None,
-        dynamic_extend: Optional[bool] = None,
-        batched: Optional[bool] = None,
-    ) -> BackupRun:
-        """Begin an online backup; drive it with :meth:`backup_step`.
-
-        Pass a :class:`~repro.core.config.BackupConfig`; the individual
-        keyword arguments are a deprecated alias.  With
-        ``config.incremental`` only pages updated since the previous
-        completed backup are copied (requires a prior backup as base);
-        ``config.batched=False`` forces page-at-a-time round-robin
-        copying (see :meth:`BackupRun.copy_some`);
-        ``config.engine="naive"`` starts the §1.2 fuzzy-dump baseline
-        instead (``"linked"`` is synchronous — use :meth:`run_backup`).
+        With ``config.incremental`` only pages updated since the
+        previous completed backup are copied (requires a prior backup as
+        base); ``config.batched=False`` forces page-at-a-time round-robin
+        copying (see :meth:`BackupRun.copy_some`).
         """
-        cfg = self._resolve_backup_config(
-            config,
-            dict(steps=steps, incremental=incremental,
-                 dynamic_extend=dynamic_extend, batched=batched),
-            "start_backup",
-        )
-        if cfg.engine == "linked":
-            raise ReproError(
-                "the linked-flush strawman is synchronous; call "
-                "run_backup(BackupConfig(engine='linked')) directly"
-            )
-        if cfg.engine == "naive":
-            self._backup_engine_kind = "naive"
-            return self.naive.start_backup()
-        self._backup_engine_kind = "engine"
+        cfg = self._backup_config(config, "start_backup")
         if cfg.incremental:
             base = self.engine.latest_backup()
             if base is None:
@@ -424,6 +346,16 @@ class Database:
         self.updated_since_backup = set()
         return run
 
+    @staticmethod
+    def _backup_config(config, method: str) -> BackupConfig:
+        if config is None:
+            return BackupConfig()
+        if not isinstance(config, BackupConfig):
+            raise ReproError(
+                f"{method} expects a BackupConfig, got {config!r}"
+            )
+        return config
+
     def _abort_backup(self) -> None:
         """Abort the active engine sweep, if any.  The pages updated
         before it started are owed to the next generation again."""
@@ -434,43 +366,18 @@ class Database:
 
     def backup_step(self, pages: int = 8) -> int:
         """Copy some pages of the active backup; returns pages copied."""
-        if self._backup_engine_kind == "naive":
-            return self.naive.copy_some(pages)
         return self.engine.copy_some(pages)
 
     def run_backup(
-        self,
-        config: Optional[BackupConfig] = None,
-        *,
-        pages_per_tick: Optional[int] = None,
-        tick=None,
+        self, config: Optional[BackupConfig] = None, tick=None
     ) -> BackupDatabase:
-        """Drive the active backup to completion (see ``tick`` for
-        interleaving a workload).
-
-        Accepts a :class:`BackupConfig` (``pages_per_tick`` is the batch
-        size; ``engine="linked"`` takes a complete synchronous
-        linked-flush backup, no :meth:`start_backup` needed).  The bare
-        ``pages_per_tick`` keyword is a deprecated alias.
-        """
-        if isinstance(config, int):
-            config, pages_per_tick = None, config
-        cfg = self._resolve_backup_config(
-            config, dict(pages_per_tick=pages_per_tick), "run_backup"
-        )
-        if not self.backup_in_progress() and cfg.engine == "linked":
-            return self.linked.run()
-        if self._backup_engine_kind == "naive":
-            while self.naive.active is not None:
-                self.naive.copy_some(cfg.pages_per_tick)
-                if tick is not None and self.naive.active is not None:
-                    tick()
-            return self.naive.completed[-1]
+        """Drive the active backup to completion, ``config.pages_per_tick``
+        pages per batch, calling ``tick()`` between batches to
+        interleave a workload."""
+        cfg = self._backup_config(config, "run_backup")
         return self.engine.run_to_completion(cfg.pages_per_tick, tick=tick)
 
     def backup_in_progress(self) -> bool:
-        if self._backup_engine_kind == "naive":
-            return self.naive.active is not None
         return self.engine.active is not None
 
     # ------------------------------------------------------- archive tier
@@ -498,14 +405,7 @@ class Database:
             return self.archive
         from repro.archive.manager import ArchiveManager
 
-        cfg = config or BackupConfig()
-        self.archive = ArchiveManager(
-            self,
-            incremental_every=cfg.incremental_every,
-            compact_threshold=cfg.compact_threshold,
-            manifest_store=manifest_store,
-            sweep_config=cfg,
-        )
+        self.archive = ArchiveManager(self, config, manifest_store)
         if adopt:
             self.archive.adopt_existing()
         return self.archive
@@ -558,8 +458,6 @@ class Database:
         self.close()
 
     def latest_backup(self) -> Optional[BackupDatabase]:
-        if self._backup_engine_kind == "naive" and self.naive.completed:
-            return self.naive.completed[-1]
         return self.engine.latest_backup()
 
     # --------------------------------------------------------------- failure

@@ -46,6 +46,8 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.storage.api import BACKENDS
+
 DEFAULT_OUTPUT = "BENCH_hotpath.json"
 DEFAULT_ROUNDS = 40
 WARMUP_ROUNDS = 3
@@ -147,8 +149,7 @@ def _bench_partition_sweep_file() -> Callable[[], object]:
     atexit.register(shutil.rmtree, data_dir, True)
     db = Database(pages_per_partition=[64, 64, 64, 64], policy="general",
                   backend="file", data_dir=data_dir)
-    cfg = BackupConfig(steps=4, pages_per_tick=256, backend="file",
-                       data_dir=data_dir)
+    cfg = BackupConfig(steps=4, pages_per_tick=256)
 
     def run() -> int:
         db.engine.completed.clear()
@@ -557,7 +558,7 @@ def run_suite(
     simulated hot paths, ``"file"`` the :data:`FILE_BENCHMARKS`,
     ``"all"`` both.  An explicit ``only`` list bypasses the filter.
     """
-    if backend not in ("memory", "file", "all"):
+    if backend not in (*BACKENDS, "all"):
         raise ValueError(f"unknown backend filter: {backend!r}")
     if only:
         names = list(only)
@@ -641,7 +642,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="free-form annotation stored on the entry",
     )
     parser.add_argument(
-        "--backend", choices=("memory", "file", "all"), default="memory",
+        "--backend", choices=(*BACKENDS, "all"), default="memory",
         help="which benchmarks to run: the simulated hot paths (memory, "
         "default), the file-backed storage benchmarks (file), or both "
         "(all)",

@@ -18,6 +18,8 @@ from repro.core.progress import PartitionProgress
 from repro.core.policy import TreeOpsPolicy
 from repro.core.tree_meta import TreeMeta
 from repro.core.config import BackupConfig
+from repro.core.linked_flush import LinkedFlushBackup
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.db import Database
 from repro.appfs import ApplicationManager
 from repro.ids import PageId
@@ -67,8 +69,7 @@ def fig5_measure(
         seed=seed,
         ops_per_tick=ops_per_tick,
         installs_per_tick=installs_per_tick,
-        backup_pages_per_tick=backup_pages_per_tick,
-        backup_steps=steps,
+        backup=BackupConfig(steps=steps, pages_per_tick=backup_pages_per_tick),
     )
     result = run.run(max_ticks=20_000)
     if result.backup is None:
@@ -192,9 +193,10 @@ def fig1_scenario(engine_kind: str, pages: int = 32) -> Fig1Outcome:
     db.checkpoint()
 
     if engine_kind == "naive":
-        db.naive.start_backup()
-        copy, finish = db.naive.copy_some, db.naive.run_to_completion
-        latest = db.naive.latest_backup
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        copy, finish = naive.copy_some, naive.run_to_completion
+        latest = naive.latest_backup
     elif engine_kind == "engine":
         db.start_backup(BackupConfig(steps=4))
         copy, finish = db.backup_step, db.run_backup
@@ -245,7 +247,7 @@ def logging_economy(
     bytes attributable to split operations and the whole log."""
     rows = []
     for mode in ("tree", "page"):
-        db = Database(pages_per_partition=[512], policy="page")
+        db = Database(pages_per_partition=[512], policy="page-oriented")
         tree = BTree(db, order=order, logging=mode).create()
         rng = random.Random(seed)
         key_list = list(range(keys))
@@ -410,7 +412,8 @@ def linked_flush_experiment(
 
     # Linked-flush baseline: forces the dirty set through the CM.
     db_linked = build()
-    backup_linked = db_linked.linked.run()
+    linked = LinkedFlushBackup(db_linked.cm, storage=db_linked.storage)
+    backup_linked = linked.run()
     db_linked.media_failure()
     linked_ok = db_linked.media_recover(backup=backup_linked).ok
 
@@ -429,8 +432,8 @@ def linked_flush_experiment(
     engine_ok = db_engine.media_recover().ok
 
     return LinkedFlushResult(
-        linked_forced_flushes=db_linked.linked.forced_flushes,
-        linked_pages_copied=db_linked.linked.pages_copied,
+        linked_forced_flushes=linked.forced_flushes,
+        linked_pages_copied=linked.pages_copied,
         engine_iwof_records=db_engine.metrics.iwof_records,
         engine_pages_copied=db_engine.metrics.backup_pages_copied,
         both_recovered=linked_ok and engine_ok,

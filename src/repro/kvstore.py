@@ -5,14 +5,15 @@ durable store with online backup and one-call disaster recovery — built
 entirely on this library (B+-tree with logically logged splits, tree
 flush policy, online backup engine, media recovery).
 
->>> from repro.kvstore import KVStore
+>>> from repro import BackupConfig, KVStore
 >>> store = KVStore.create(capacity_pages=128)
 >>> store.put(1, "one")
 >>> store.get(1)
 'one'
->>> backup = store.online_backup(steps=4)
+>>> backup = store.online_backup(BackupConfig(steps=4))
 >>> store.simulate_media_failure()
->>> store.restore_from_backup()
+>>> store.restore_from_backup().ok
+True
 >>> store.get(1)
 'one'
 """
@@ -88,18 +89,13 @@ class KVStore:
     # ---------------------------------------------------------------- backup
 
     def online_backup(
-        self, steps: int = 8, pages_per_tick: int = 8,
-        incremental: bool = False,
+        self, config: Optional[BackupConfig] = None
     ) -> BackupDatabase:
-        """Take an online backup to completion; safe to call while the
-        store keeps serving (drive manually via ``db`` for interleaved
-        use — see the examples)."""
-        cfg = BackupConfig(
-            steps=steps, pages_per_tick=pages_per_tick,
-            incremental=incremental,
-        )
-        self.db.start_backup(cfg)
-        return self.db.run_backup(cfg)
+        """Take an online backup shaped by ``config`` to completion; safe
+        to call while the store keeps serving (drive manually via ``db``
+        for interleaved use — see the examples)."""
+        self.db.start_backup(config)
+        return self.db.run_backup(config)
 
     # -------------------------------------------------------------- failures
 

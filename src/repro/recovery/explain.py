@@ -18,7 +18,6 @@ Two complementary checkers:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -76,25 +75,6 @@ class RecoveryOutcome:
     def degraded(self) -> bool:
         """Recovery succeeded for all but the quarantined pages."""
         return self.ok and bool(self.quarantined)
-
-    @property
-    def redone(self) -> int:
-        """Operations redone during roll-forward (canonical name for the
-        historical ``replayed`` field, which remains as an alias)."""
-        return self.replayed
-
-    @property
-    def outcome(self) -> "RecoveryOutcome":
-        """Deprecated shim for the pre-unification ``SelectiveRedoResult``
-        shape (``result.outcome.ok`` → ``result.ok``)."""
-        warnings.warn(
-            "RecoveryOutcome.outcome is a deprecation shim; selective "
-            "recovery now returns the RecoveryOutcome directly — drop the "
-            "'.outcome' hop (removal planned for 2.0)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self
 
     def summary(self) -> str:
         status = "OK" if self.ok else "FAILED"

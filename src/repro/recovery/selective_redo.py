@@ -102,14 +102,6 @@ def compute_taint(
             return analysis
 
 
-# Selective redo used to return a two-field ``SelectiveRedoResult``
-# wrapper; the recovery API is now unified on ``RecoveryOutcome`` (which
-# carries ``analysis`` and a deprecated ``.outcome`` shim for the old
-# ``result.outcome.ok`` shape).  The name is kept as an alias so existing
-# imports and annotations keep working.
-SelectiveRedoResult = RecoveryOutcome
-
-
 def expected_state_excluding(
     log: LogManager,
     excluded: Set[LSN],
@@ -139,7 +131,7 @@ def run_selective_redo(
     group_of: Optional[Callable[[LogRecord], Optional[str]]] = None,
     tracer=None,
     metrics=None,
-) -> SelectiveRedoResult:
+) -> RecoveryOutcome:
     """Restore from ``backup`` and roll forward excluding the taint.
 
     ``group_of`` enables transaction-atomic exclusion (see

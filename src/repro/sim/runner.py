@@ -7,7 +7,7 @@ pages.  All randomness comes from one seeded generator, so every run is
 reproducible.
 
 The relative rates (``ops_per_tick`` / ``installs_per_tick`` /
-``backup_pages_per_tick``) control how much update activity a backup
+``backup.pages_per_tick``) control how much update activity a backup
 overlaps — the knob that, in a real system, is the ratio of update
 throughput to backup bandwidth.
 """
@@ -48,10 +48,8 @@ class InterleavedRun:
         seed: int = 0,
         ops_per_tick: int = 2,
         installs_per_tick: int = 2,
-        backup_pages_per_tick: int = 4,
         start_backup_at_tick: Optional[int] = 0,
-        backup_steps: int = 8,
-        incremental: bool = False,
+        backup: BackupConfig = BackupConfig(pages_per_tick=4),
         injector: Optional[FailureInjector] = None,
         on_tick: Optional[Callable[[int], None]] = None,
     ):
@@ -60,10 +58,8 @@ class InterleavedRun:
         self.rng = random.Random(seed)
         self.ops_per_tick = ops_per_tick
         self.installs_per_tick = installs_per_tick
-        self.backup_pages_per_tick = backup_pages_per_tick
         self.start_backup_at_tick = start_backup_at_tick
-        self.backup_steps = backup_steps
-        self.incremental = incremental
+        self.backup = backup
         self.injector = injector
         self.on_tick = on_tick
 
@@ -85,10 +81,7 @@ class InterleavedRun:
                     and self.start_backup_at_tick is not None
                     and tick >= self.start_backup_at_tick
                 ):
-                    self.db.start_backup(BackupConfig(
-                        steps=self.backup_steps,
-                        incremental=self.incremental,
-                    ))
+                    self.db.start_backup(self.backup)
                     backup_started = True
 
                 exhausted = False
@@ -103,7 +96,7 @@ class InterleavedRun:
                 self.db.install_some(self.installs_per_tick, self.rng)
 
                 if self.db.backup_in_progress():
-                    self.db.backup_step(self.backup_pages_per_tick)
+                    self.db.backup_step(self.backup.pages_per_tick)
             except SimulatedCrash:
                 # An armed fault plane killed the system mid-I/O; the
                 # database is crashed, recovery is the caller's move.

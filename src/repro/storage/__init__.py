@@ -15,8 +15,8 @@ The storage *surface* those models implement is formalized in
 / :class:`LogDevice` protocols, with two conforming backends: the
 in-memory simulation (the default) and the file-backed backend of
 :mod:`repro.storage.file_backend` (real fds, doublewrite journal,
-fsynced log files).  Use :func:`open_backend` to construct one from a
-:class:`~repro.core.config.BackupConfig` or explicit keywords.
+fsynced log files).  :func:`open_backend` constructs one by name (one
+of :data:`BACKENDS`).
 """
 
 from repro.storage.page import PageVersion

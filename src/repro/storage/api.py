@@ -15,8 +15,8 @@ These protocols are *structural* (:class:`typing.Protocol`): the
 in-memory classes already conform and are not required to inherit from
 anything here.  A :class:`StorageBackend` bundles one factory per
 surface so the whole stack is switched with one knob —
-``BackupConfig.backend="memory"|"file"`` or ``Database(backend=...)`` —
-and :func:`open_backend` is the single place that knob is resolved.
+``Database(backend="memory"|"file")`` — and :func:`open_backend` is the
+single place that knob is resolved.
 
 Fault injection is keyed to this boundary: the
 :class:`~repro.sim.faults.FaultPlane` check for each
@@ -252,35 +252,24 @@ class MemoryBackend(StorageBackend):
         return None
 
 
-#: Registry of backend names accepted by ``BackupConfig.backend`` and the
-#: ``--backend`` CLI flags.  ``file`` is resolved lazily to keep this
+#: The backend names: the one list ``Database(backend=...)`` and the
+#: ``--backend`` CLI flags accept.  ``file`` is resolved lazily to keep this
 #: module import-light.
 BACKENDS = ("memory", "file")
 
 
 def open_backend(
-    config: Any = None,
-    *,
-    backend: Optional[str] = None,
-    data_dir: Optional[str] = None,
+    backend: Optional[str] = None, data_dir: Optional[str] = None
 ) -> StorageBackend:
-    """Resolve the backend knob to a :class:`StorageBackend`.
-
-    Accepts either a :class:`~repro.core.config.BackupConfig` (reads its
-    ``backend``/``data_dir`` fields) or explicit keyword arguments; the
-    keywords win when both are given.  ``backend="file"`` with no
-    ``data_dir`` creates a private temporary directory.
+    """Resolve a backend name (default ``"memory"``) to a
+    :class:`StorageBackend`.  ``backend="file"`` with no ``data_dir``
+    creates a private temporary directory.
 
     >>> open_backend().name
     'memory'
-    >>> open_backend(backend="memory").name
+    >>> open_backend("memory").name
     'memory'
     """
-    if config is not None:
-        if backend is None:
-            backend = getattr(config, "backend", None)
-        if data_dir is None:
-            data_dir = getattr(config, "data_dir", None)
     backend = backend or "memory"
     if backend == "memory":
         return MemoryBackend()

@@ -18,7 +18,6 @@ ever reads completed backups.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import BackupError, CorruptPageError, TornWriteError
@@ -75,16 +74,6 @@ class BackupDatabase:
     def faults(self):
         """The attached fault plane (``None`` = no injection)."""
         return self._faults
-
-    @faults.setter
-    def faults(self, plane) -> None:
-        warnings.warn(
-            "assigning BackupDatabase.faults directly is deprecated; call "
-            "attach_faults(plane) (the BackupStore protocol method) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._faults = plane
 
     def attach_faults(self, plane):
         """Attach a fault plane at the BackupStore protocol boundary."""

@@ -22,7 +22,6 @@ Write counts are tracked so benchmarks can report I/O volume.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import (
@@ -83,16 +82,6 @@ class StableDatabase:
     def faults(self):
         """The attached fault plane (``None`` = no injection)."""
         return self._faults
-
-    @faults.setter
-    def faults(self, plane) -> None:
-        warnings.warn(
-            "assigning StableDatabase.faults directly is deprecated; call "
-            "attach_faults(plane) (the PageStore protocol method) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._faults = plane
 
     def attach_faults(self, plane):
         """Attach a fault plane at the PageStore protocol boundary."""

@@ -282,13 +282,13 @@ class LogManager:
         self.device = device
         return device
 
-    def force(self, up_to: Optional[LSN] = None) -> None:
-        """Force the log to stable storage up to ``up_to`` (default: all).
+    def force(self) -> None:
+        """Force the whole log to stable storage.
 
         Each call that advances the stable prefix is its own durability
-        event: one device sync.
+        event: one device sync, which writes every pending record.
         """
-        end = self.end_lsn if up_to is None else min(up_to, self.end_lsn)
+        end = self.end_lsn
         if end > self._flushed_lsn:
             if self.faults is not None:
                 from repro.sim.faults import IOPoint

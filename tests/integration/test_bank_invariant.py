@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
@@ -92,7 +93,7 @@ class TestBankInvariant:
     def test_total_preserved_across_media_failure(self, seed):
         db, txns = open_bank()
         rng = random.Random(seed)
-        db.start_backup(steps=8)
+        db.start_backup(BackupConfig(steps=8))
         step = 0
         while db.backup_in_progress():
             db.backup_step(2)
@@ -113,15 +114,15 @@ class TestBankInvariant:
         — the taint closure removes whole transfers, never halves."""
         db, txns = open_bank()
         db.checkpoint()
-        db.start_backup(steps=4)
-        backup = db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=4))
+        backup = db.run_backup(BackupConfig(pages_per_tick=16))
         rng = random.Random(1)
         for step in range(12):
             src, dst = rng.sample(range(ACCOUNTS), 2)
             name = "rogue" if step % 3 == 0 else f"teller{step}"
             transfer(txns, src, dst, 7, name)
         result = db.selective_recover("rogue", backup=backup, transactional=True)
-        assert result.outcome.ok
+        assert result.ok
         total = total_balance(lambda pid: db.stable.read_page(pid).value)
         assert total == ACCOUNTS * OPENING_BALANCE
         assert result.analysis.directly_corrupt  # it did exclude some

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.storage.archive import load_backup, save_backup
@@ -23,7 +24,7 @@ def build_primary(seed=3, pages=48):
         db.execute(next(source))
         if rng.random() < 0.3:
             db.install_some(1, rng)
-    db.start_backup(steps=4)
+    db.start_backup(BackupConfig(steps=4))
     while db.backup_in_progress():
         db.backup_step(8)
         db.execute(next(source))
@@ -63,8 +64,8 @@ class TestBootstrap:
                 replacement.install_some(1, rng)
         replacement.crash()
         assert replacement.recover().ok
-        replacement.start_backup(steps=4)
-        replacement.run_backup(pages_per_tick=16)
+        replacement.start_backup(BackupConfig(steps=4))
+        replacement.run_backup(BackupConfig(pages_per_tick=16))
         replacement.media_failure()
         assert replacement.media_recover().ok
 

@@ -164,7 +164,7 @@ class TestChainHealing:
         full = take_full(db)
         for slot in (3, 7):
             db.execute(PhysiologicalWrite(pid(slot), "stamp", ("inc",)))
-        db.start_backup(steps=4, incremental=True)
+        db.start_backup(BackupConfig(steps=4, incremental=True))
         incremental = db.run_backup()
         return db, full, incremental
 

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.workloads import (
     copy_chain_workload,
@@ -17,7 +18,7 @@ from repro.workloads import (
 )
 
 WORKLOADS = {
-    "page": (page_oriented_workload, "page"),
+    "page": (page_oriented_workload, "page-oriented"),
     "chain": (copy_chain_workload, "general"),
     "mixed": (mixed_logical_workload, "general"),
     "tree": (tree_split_workload, "tree"),
@@ -96,7 +97,7 @@ class TestCrashDuringBackup:
         db = Database(pages_per_partition=[64], policy="general")
         rng = random.Random(3)
         source = mixed_logical_workload(db.layout, seed=3, count=500)
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         for tick in range(crash_tick):
             db.backup_step(4)
             for _ in range(3):
@@ -116,11 +117,11 @@ class TestCrashDuringBackup:
         source = mixed_logical_workload(db.layout, seed=4, count=500)
         for _ in range(50):
             db.execute(next(source))
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         first = db.run_backup()
         for _ in range(50):
             db.execute(next(source))
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.backup_step(8)
         db.crash()
         assert db.recover().ok

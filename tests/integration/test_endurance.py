@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.workloads import mixed_logical_workload
 
@@ -31,7 +32,7 @@ class TestEndurance:
 
             # Backup: full every third cycle, incremental otherwise.
             incremental = cycle % 3 != 0 and db.latest_backup() is not None
-            db.start_backup(steps=4, incremental=incremental)
+            db.start_backup(BackupConfig(steps=4, incremental=incremental))
             while db.backup_in_progress():
                 db.backup_step(16)
                 db.execute(next(source))
@@ -91,8 +92,8 @@ class TestEndurance:
             for _ in range(6):
                 db.execute(next(source))
                 db.install_some(1, rng)
-            db.start_backup(steps=2)
-            db.run_backup(pages_per_tick=24)
+            db.start_backup(BackupConfig(steps=2))
+            db.run_backup(BackupConfig(pages_per_tick=24))
         assert len(db.engine.completed) == 50
         # Spot-check a handful of generations.
         for index in (0, 10, 25, 49):

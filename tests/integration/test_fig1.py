@@ -12,6 +12,8 @@ logging:
 
 import pytest
 
+from repro.core.config import BackupConfig
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.harness.experiments import fig1_scenario
 from repro.recovery.explain import find_order_violations
 
@@ -38,12 +40,13 @@ class TestFigure1:
         old, new = PageId(0, 20), PageId(0, 2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(10))))
         db.checkpoint()
-        db.naive.start_backup()
-        db.naive.copy_some(5)
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(5)
         db.execute(MovRec(old, 4, new))
         db.execute(RmvRec(old, 4))
         db.checkpoint()
-        backup = db.naive.run_to_completion()
+        backup = naive.run_to_completion()
         records = list(db.log.scan(backup.media_scan_start_lsn))
         violations = find_order_violations(backup.pages(), records)
         assert violations
@@ -60,7 +63,7 @@ class TestFigure1:
         old, new = PageId(0, 20), PageId(0, 2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(10))))
         db.checkpoint()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.backup_step(5)
         db.execute(MovRec(old, 4, new))
         db.execute(RmvRec(old, 4))
@@ -81,11 +84,12 @@ class TestFigure1:
         old, new = PageId(0, 20), PageId(0, 25)  # both beyond the frontier
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(10))))
         db.checkpoint()
-        db.naive.start_backup()
-        db.naive.copy_some(5)
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(5)
         db.execute(MovRec(old, 4, new))
         db.execute(RmvRec(old, 4))
         db.checkpoint()
-        backup = db.naive.run_to_completion()
+        backup = naive.run_to_completion()
         db.media_failure()
         assert db.media_recover(backup=backup).ok

@@ -8,6 +8,7 @@ flush rates, and database sizes — not just the benchmark defaults.
 import pytest
 
 from repro.core import analysis
+from repro.core.config import BackupConfig
 from repro.harness.experiments import fig5_measure
 
 
@@ -62,11 +63,11 @@ class TestCrossPolicyOrdering:
         from repro.sim.runner import InterleavedRun
         from repro.workloads import page_oriented_workload
 
-        db = Database(pages_per_partition=[512], policy="page")
+        db = Database(pages_per_partition=[512], policy="page-oriented")
         run = InterleavedRun(
             db,
             page_oriented_workload(db.layout, seed=1, count=None),
-            backup_steps=steps,
+            backup=BackupConfig(steps=steps, pages_per_tick=4),
         )
         result = run.run(max_ticks=10_000)
         assert result.backup is not None

@@ -11,6 +11,7 @@ paper's protocol closes a real, reachable hole.
 import pytest
 
 from repro.core.config import BackupConfig
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.logical import CopyOp
@@ -47,8 +48,9 @@ def split_scenario(engine_kind, steps=4):
             db.start_backup(BackupConfig(steps=steps))
             copy_track = [lambda: db.backup_step(4) for _ in range(4)]
         else:
-            db.naive.start_backup()
-            copy_track = [lambda: db.naive.copy_some(4) for _ in range(4)]
+            naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+            naive.start_backup()
+            copy_track = [lambda: naive.copy_some(4) for _ in range(4)]
         op_track = [
             lambda: db.execute(MovRec(old, 2, new)),
             lambda: db.execute(RmvRec(old, 2)),
@@ -61,9 +63,9 @@ def split_scenario(engine_kind, steps=4):
                 if database.backup_in_progress():
                     database.run_backup()
                 return database.latest_backup()
-            if database.naive.active is not None:
-                database.naive.run_to_completion()
-            return database.naive.latest_backup()
+            if naive.active is not None:
+                naive.run_to_completion()
+            return naive.latest_backup()
 
         return db, [op_track, flush_track, copy_track], finish
 

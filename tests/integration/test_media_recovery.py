@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.sim.runner import InterleavedRun
 from repro.workloads import (
@@ -36,8 +37,7 @@ def interleaved_backup(
         seed=seed,
         ops_per_tick=ops_per_tick,
         installs_per_tick=2,
-        backup_pages_per_tick=backup_pages_per_tick,
-        backup_steps=steps,
+        backup=BackupConfig(steps=steps, pages_per_tick=backup_pages_per_tick),
     )
     result = run.run(max_ticks=5000)
     assert result.backup is not None, "backup did not complete"
@@ -134,7 +134,7 @@ class TestBackupContents:
         from repro.ops.physical import PhysicalWrite
 
         db = Database(pages_per_partition=[16], policy="general")
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         db.execute(PhysicalWrite(PageId(0, 0), "late"))
         db.checkpoint()
@@ -148,7 +148,7 @@ class TestBackupContents:
         rng = random.Random(0)
         source = mixed_logical_workload(db.layout, seed=0, count=100_000)
         for round_number in range(3):
-            db.start_backup(steps=4)
+            db.start_backup(BackupConfig(steps=4))
             while db.backup_in_progress():
                 db.backup_step(6)
                 db.execute(next(source))
@@ -171,7 +171,7 @@ class TestMultiPartition:
         db = Database(pages_per_partition=[32, 32, 32], policy="general")
         rng = random.Random(seed)
         source = mixed_logical_workload(db.layout, seed=seed, count=100_000)
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         while db.backup_in_progress():
             db.backup_step(6)
             db.execute(next(source))

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.logical import CopyOp
@@ -56,7 +57,7 @@ class TestOperatorDrill:
         db.take_checkpoint()
 
         # Stage 1: full backup with interleaved partition-local work.
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         while db.backup_in_progress():
             db.backup_step(4)
             partition_local_work(db, rng.randrange(2), rng, 2)
@@ -66,8 +67,8 @@ class TestOperatorDrill:
 
         # Stage 2: more work, then an incremental backup.
         partition_local_work(db, 0, rng, 10)
-        db.start_backup(steps=4, incremental=True)
-        incremental = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=4, incremental=True))
+        incremental = db.run_backup(BackupConfig(pages_per_tick=8))
         assert incremental.copied_count() < full.copied_count()
 
         # Stage 3: crash; recovery must reproduce the oracle.
@@ -78,22 +79,22 @@ class TestOperatorDrill:
         # Stage 4: partial media failure of partition 0.
         partition_local_work(db, 0, rng, 5)
         db.checkpoint()
-        db.start_backup(steps=4)
-        pre_fail_backup = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=4))
+        pre_fail_backup = db.run_backup(BackupConfig(pages_per_tick=8))
         db.fail_partition(0)
         outcome = db.recover_partition(0, backup=pre_fail_backup)
         assert outcome.ok, outcome.diffs[:3]
 
         # Stage 5: an intruder corrupts data; selective redo excises it.
-        db.start_backup(steps=4)
-        clean = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=4))
+        clean = db.run_backup(BackupConfig(pages_per_tick=8))
         db.execute(
             PhysicalWrite(PageId(0, 1), "!!garbage!!"), source="intruder"
         )
         db.execute(CopyOp(PageId(0, 1), PageId(0, 9)), source="app")
         partition_local_work(db, 1, rng, 3)
         result = db.selective_recover("intruder", backup=clean)
-        assert result.outcome.ok
+        assert result.ok
         assert result.analysis.directly_corrupt
         assert db.read(PageId(0, 1)) != "!!garbage!!"
 
@@ -102,8 +103,8 @@ class TestOperatorDrill:
         # truncate the log.
         for backup in (pre_fail_backup, incremental, full):
             db.retire_backup(backup)
-        db.start_backup(steps=4)
-        final_backup = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=4))
+        final_backup = db.run_backup(BackupConfig(pages_per_tick=8))
         discarded = db.truncate_log()
         assert discarded > 0
         assert db.retention.is_usable(final_backup)
@@ -133,7 +134,7 @@ class TestOperatorDrill:
                     db.execute(
                         PhysicalWrite(PageId(partition, slot), slot)
                     )
-            db.start_backup(steps=4)
+            db.start_backup(BackupConfig(steps=4))
             while db.backup_in_progress():
                 db.backup_step(4)
                 partition_local_work(db, rng.randrange(2), rng, 2)

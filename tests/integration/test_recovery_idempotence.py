@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
@@ -38,7 +39,7 @@ class TestIdempotence:
 
     def test_media_recover_twice_from_same_backup(self):
         db, _ = build_db()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         backup = db.run_backup()
         db.media_failure()
         assert db.media_recover(backup=backup).ok
@@ -66,7 +67,7 @@ class TestComposition:
         db, rng = build_db()
         db.crash()
         assert db.recover().ok
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         backup = db.run_backup()
         report = db.validate_backup(backup)
         assert report.ok, report.findings
@@ -75,7 +76,7 @@ class TestComposition:
 
     def test_media_recovery_then_new_work_then_crash(self):
         db, rng = build_db()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.run_backup()
         db.media_failure()
         assert db.media_recover().ok
@@ -89,13 +90,13 @@ class TestComposition:
 
     def test_two_generations_of_backup_after_recovery(self):
         db, rng = build_db()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         first = db.run_backup()
         db.media_failure()
         assert db.media_recover(backup=first).ok
         for op in mixed_logical_workload(db.layout, seed=11, count=30):
             db.execute(op)
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         second = db.run_backup()
         db.media_failure()
         # Both generations still roll forward to the current state.
@@ -106,7 +107,7 @@ class TestComposition:
     def test_crash_between_incremental_links(self):
         db, rng = build_db()
         db.checkpoint()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         full = db.run_backup()
         for op in mixed_logical_workload(db.layout, seed=5, count=20):
             db.execute(op)
@@ -114,7 +115,7 @@ class TestComposition:
         assert db.recover().ok
         for op in mixed_logical_workload(db.layout, seed=6, count=20):
             db.execute(op)
-        db.start_backup(steps=4, incremental=True)
+        db.start_backup(BackupConfig(steps=4, incremental=True))
         incremental = db.run_backup()
         db.media_failure()
         outcome = db.media_recover_chain([full, incremental])

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.btree import BTree
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.kvstore import KVStore
 from repro.workloads import mixed_logical_workload, tree_split_workload
@@ -25,7 +26,7 @@ class TestScale:
             db.execute(op)
             if rng.random() < 0.4:
                 db.install_some(2, rng)
-        db.start_backup(steps=8)
+        db.start_backup(BackupConfig(steps=8))
         while db.backup_in_progress():
             db.backup_step(128)
             db.install_some(2, rng)
@@ -55,7 +56,7 @@ class TestScale:
         rng = random.Random(2)
         live = set()
         for round_number in range(3):
-            store.db.start_backup(steps=8)
+            store.db.start_backup(BackupConfig(steps=8))
             key_base = round_number * 1000
             while store.db.backup_in_progress():
                 store.db.backup_step(64)
@@ -91,7 +92,7 @@ class TestScale:
         rng = random.Random(4)
         source = tree_split_workload(db.layout, seed=4, count=3000,
                                      records_per_page=6)
-        db.start_backup(steps=8)
+        db.start_backup(BackupConfig(steps=8))
         for op in source:
             db.execute(op)
             if rng.random() < 0.5:

@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.core.standby import StandbyReplica
 from repro.db import Database
 from repro.errors import ReproError
@@ -32,7 +34,7 @@ def primary_with_backup(seed=0, pages=48, ops=80):
         db.execute(next(source))
         if rng.random() < 0.3:
             db.install_some(1, rng)
-    db.start_backup(steps=4)
+    db.start_backup(BackupConfig(steps=4))
     while db.backup_in_progress():
         db.backup_step(8)
         db.execute(next(source))
@@ -100,12 +102,13 @@ class TestSeedCorrectnessNeedsTheProtocol:
         old, new = pid(20), pid(2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(8))))
         db.checkpoint()
-        db.naive.start_backup()
-        db.naive.copy_some(5)
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(5)
         db.execute(MovRec(old, 3, new))
         db.execute(RmvRec(old, 3))
         db.checkpoint()
-        naive_backup = db.naive.run_to_completion()
+        naive_backup = naive.run_to_completion()
         standby = StandbyReplica.seed_from_backup(
             naive_backup, db.log, db.layout
         )
@@ -116,7 +119,7 @@ class TestSeedCorrectnessNeedsTheProtocol:
         old, new = pid(20), pid(2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(8))))
         db.checkpoint()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.backup_step(5)
         db.execute(MovRec(old, 3, new))
         db.execute(RmvRec(old, 3))
@@ -152,8 +155,8 @@ class TestFailover:
         for _ in range(30):
             promoted.execute(next(new_source))
             promoted.install_some(1, rng)
-        promoted.start_backup(steps=4)
-        promoted.run_backup(pages_per_tick=16)
+        promoted.start_backup(BackupConfig(steps=4))
+        promoted.run_backup(BackupConfig(pages_per_tick=16))
         promoted.media_failure()
         outcome = promoted.media_recover()
         assert outcome.ok, outcome.diffs[:3]

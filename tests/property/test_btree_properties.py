@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.btree import BTree
+from repro.core.config import BackupConfig
 from repro.db import Database
 
 keys = st.integers(0, 500)
@@ -116,14 +117,14 @@ class TestRecoveryConformance:
         started = sealed = False
         for i, (key, value) in enumerate(pairs):
             if not started and i >= backup_at:
-                db.start_backup(steps=4)
+                db.start_backup(BackupConfig(steps=4))
                 started = True
             tree.insert(key, value)
             model[key] = value
             if started and db.backup_in_progress():
                 db.backup_step(8)
         if not started:
-            db.start_backup(steps=4)
+            db.start_backup(BackupConfig(steps=4))
         while db.backup_in_progress():
             db.backup_step(16)
         db.media_failure()

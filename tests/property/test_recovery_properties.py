@@ -8,8 +8,9 @@ able to reproduce the oracle state.
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 
@@ -80,6 +81,9 @@ class TestCrashRecoverability:
         assert violations == [], violations[:2]
 
     @given(schedules)
+    @example([350, 32, 90, 375, 453, 161]).xfail(
+        raises=AssertionError, reason="ROADMAP item 1: lost read dependency"
+    )
     @settings(max_examples=60, deadline=None)
     def test_replay_from_lsn_one_equivalent(self, schedule):
         """Replaying from LSN 1 must agree with replaying from the
@@ -112,7 +116,7 @@ class TestBackupRecoverability:
         started = False
         for i, code in enumerate(schedule):
             if not started and i >= backup_offset:
-                db.start_backup(steps=steps)
+                db.start_backup(BackupConfig(steps=steps))
                 started = True
             action = code % 5
             a, b = (code // 5) % N_PAGES, (code // 50) % N_PAGES
@@ -127,7 +131,7 @@ class TestBackupRecoverability:
             elif started and db.backup_in_progress():
                 db.backup_step(1)
         if not started:
-            db.start_backup(steps=steps)
+            db.start_backup(BackupConfig(steps=steps))
         while db.backup_in_progress():
             db.backup_step(4)
         db.media_failure()

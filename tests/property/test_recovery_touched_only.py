@@ -61,7 +61,8 @@ def _build(seed, policy, flavour, backend="memory", data_dir=None,
     """Seeded workload with a full backup taken under it (``batched``
     picks the sweep), then an incremental link, then a tail (some of it
     logged by ``rogue``)."""
-    db = Database(pages_per_partition=PARTITIONS, policy=policy,
+    db = Database(pages_per_partition=PARTITIONS,
+                  policy="page-oriented" if policy == "page" else policy,
                   backend=backend, data_dir=data_dir)
     rng = random.Random(seed)
     # Partition recovery needs every operation confined to the partition.

@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.logical import CopyOp
@@ -91,13 +92,13 @@ class TestSelectiveRecoveryProperties:
             db.execute(PhysicalWrite(pid(slot), ("base", slot)),
                        source="good")
         db.checkpoint()
-        db.start_backup(steps=2)
-        backup = db.run_backup(pages_per_tick=8)
+        db.start_backup(BackupConfig(steps=2))
+        backup = db.run_backup(BackupConfig(pages_per_tick=8))
         for i, code in enumerate(schedule):
             op, source = decode(code, i)
             db.execute(op, source=source)
         result = db.selective_recover("bad", backup=backup)
-        assert result.outcome.ok, result.outcome.diffs[:3]
+        assert result.ok, result.diffs[:3]
         expected = expected_state_excluding(db.log, result.analysis.excluded)
         for slot in range(N_PAGES):
             assert (

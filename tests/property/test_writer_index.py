@@ -35,7 +35,7 @@ steps = st.lists(
         st.tuples(st.just("logical"), st.lists(pages, min_size=1,
                                                max_size=3, unique=True),
                   st.lists(pages, max_size=2, unique=True)),
-        st.tuples(st.just("force"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("force"), st.integers(0, 8)),
         st.tuples(st.just("crash")),
         st.tuples(st.just("rot"), st.integers(0, 2**16)),
         st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
@@ -77,18 +77,30 @@ def assert_index_matches_log(log):
     assert _nonzero(log.stats.snapshot()) == _nonzero(recount.snapshot())
 
 
-def _apply(log, step, tmp):
+def _apply(log, step, tmp, pending):
+    """Apply one schedule step.  ``pending["force_in"]`` counts the
+    appends left before a scheduled force, so the durable frontier a
+    crash cuts back to lands anywhere among the appends."""
     kind = step[0]
-    if kind == "append":
-        log.append(PhysicalWrite(step[1], step[2]))
-    elif kind == "logical":
-        writes, reads = step[1], step[2]
-        log.append(GeneralLogicalOp(reads, writes, "concat_sorted"))
+    if kind in ("append", "logical"):
+        if kind == "append":
+            log.append(PhysicalWrite(step[1], step[2]))
+        else:
+            writes, reads = step[1], step[2]
+            log.append(GeneralLogicalOp(reads, writes, "concat_sorted"))
+        if pending["force_in"] is not None:
+            pending["force_in"] -= 1
+            if pending["force_in"] <= 0:
+                log.force()
+                pending["force_in"] = None
     elif kind == "force":
-        span = log.end_lsn - log.flushed_lsn
-        log.force(up_to=log.flushed_lsn + int(span * step[1]))
+        if step[1] == 0:
+            log.force()
+        else:
+            pending["force_in"] = step[1]
     elif kind == "crash":
         log.discard_unflushed()
+        pending["force_in"] = None
     elif kind == "rot":
         if log._bitrot(random.Random(step[1])):
             log.repair_tail()
@@ -106,9 +118,10 @@ def _apply(log, step, tmp):
 @settings(max_examples=80, deadline=None)
 def test_index_and_stats_track_every_mutation(schedule):
     log = LogManager(auto_force=False)
+    pending = {"force_in": None}
     with tempfile.TemporaryDirectory() as tmp:
         for step in schedule:
-            log = _apply(log, step, tmp)
+            log = _apply(log, step, tmp, pending)
             assert_index_matches_log(log)
 
 

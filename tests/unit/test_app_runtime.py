@@ -9,6 +9,7 @@ from repro.appfs.runtime import (
     RecoverableApplication,
     register_logic,
 )
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import ReproError
 from repro.ids import PageId
@@ -99,7 +100,7 @@ class TestRecovery:
         db.execute(PhysicalWrite(pid(1), 9))
         app.feed(pid(1))
         app.advance()
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         db.run_backup()
         db.execute(PhysicalWrite(pid(2), 2))
         app.feed(pid(2))
@@ -126,7 +127,7 @@ class TestRecovery:
         data = [pid(s) for s in range(1, 10)]
         for page in data:
             db.execute(PhysicalWrite(page, 1))
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         while db.backup_in_progress():
             db.backup_step(2)
             source = rng.choice(data)

@@ -431,6 +431,18 @@ class TestScheduler:
         with pytest.raises(NoBackupError):
             archive.run_incremental()
 
+    def test_manager_reads_its_schedule_from_one_config(self):
+        db = _seeded_db()
+        config = BackupConfig(steps=4, incremental_every=8)
+        archive = ArchiveManager(db, config)
+        assert archive.config is config
+        assert archive.tick() is not None
+        for i in range(8):
+            db.execute(PhysicalWrite(PageId(0, i), ("cfg", i)))
+        assert archive.tick() is not None
+        kinds = [r.kind for r in archive.generation_records()]
+        assert kinds == [KIND_FULL, KIND_INCREMENTAL]
+
     def test_attach_is_idempotent_and_adopts(self):
         db = _seeded_db()
         db.start_backup(BackupConfig(steps=4))

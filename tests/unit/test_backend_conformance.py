@@ -57,16 +57,11 @@ class TestFactory:
         with pytest.raises(BackupError):
             open_backend(backend="punchcards")
 
-    def test_config_drives_selection(self, tmp_path):
-        cfg = BackupConfig(backend="file", data_dir=str(tmp_path / "d"))
-        be = open_backend(cfg)
+    def test_name_drives_selection(self, tmp_path):
+        be = open_backend("file", str(tmp_path / "d"))
         assert be.name == "file"
         be.close()
-        assert open_backend(BackupConfig()).name == "memory"
-
-    def test_keywords_win_over_config(self, tmp_path):
-        cfg = BackupConfig(backend="file", data_dir=str(tmp_path / "d"))
-        assert open_backend(cfg, backend="memory").name == "memory"
+        assert open_backend().name == "memory"
 
     def test_stores_satisfy_protocols(self, backend):
         stable = backend.create_stable(Layout([4]), initial_value=())
@@ -227,44 +222,44 @@ class TestFaultParity:
         assert memory == file_counts
 
 
-class TestDeprecationShims:
-    def test_stable_faults_setter_warns_at_caller(self):
-        from repro.storage.stable_db import StableDatabase
-
-        stable = StableDatabase(Layout([4]), initial_value=())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stable.faults = FaultPlane()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "attach_faults" in str(caught[0].message)
-        # stacklevel=2: the warning must blame this file, not the shim.
-        assert caught[0].filename == __file__
-
-    def test_backup_faults_setter_warns_at_caller(self):
-        from repro.storage.backup_db import BackupDatabase
-
-        backup = BackupDatabase(1, 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backup.faults = FaultPlane()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert caught[0].filename == __file__
+class TestFaultAttachment:
+    """``attach_faults`` is the one way to give a store a fault plane;
+    ``faults`` is read-only on every store."""
 
     def test_attach_faults_does_not_warn(self, backend):
         stable = backend.create_stable(Layout([4]), initial_value=())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stable.attach_faults(FaultPlane())
-        assert caught == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = stable.attach_faults(FaultPlane())
+        assert stable.faults is plane
+
+    def test_stable_faults_is_read_only(self, backend):
+        stable = backend.create_stable(Layout([4]), initial_value=())
+        with pytest.raises(AttributeError):
+            stable.faults = FaultPlane()
+        assert stable.faults is None
+
+    def test_backup_faults_is_read_only(self):
+        from repro.storage.backup_db import BackupDatabase
+
+        backup = BackupDatabase(1, 0)
+        with pytest.raises(AttributeError):
+            backup.faults = FaultPlane()
+        plane = backup.attach_faults(FaultPlane())
+        assert backup.faults is plane
 
 
-class TestConfigValidation:
-    def test_backend_validated(self):
-        with pytest.raises(Exception):
-            BackupConfig(backend="punchcards")
+class TestBackendNames:
+    def test_every_listed_backend_opens(self, tmp_path):
+        for name in BACKENDS:
+            be = open_backend(name, str(tmp_path / name))
+            assert be.name == name
+            be.close()
 
-    def test_data_dir_requires_file_backend(self):
-        with pytest.raises(Exception):
-            BackupConfig(data_dir="/tmp/x")
+    @pytest.mark.parametrize("command", ["faultsweep", "scrub", "bench"])
+    def test_cli_rejects_an_unlisted_backend(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main([command, "--backend", "punchcards"])
+        assert "punchcards" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 """Unit tests for BackupConfig and the unified backup/recovery API."""
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.config import BackupConfig
+from repro.core.linked_flush import LinkedFlushBackup
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.db import Database
 from repro.errors import ReproError
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
 from repro.recovery.explain import RecoveryOutcome
+from repro.sim.faults import FaultPlane
 
 
 def pid(slot):
@@ -26,7 +30,7 @@ def seeded_db(pages=16):
 class TestBackupConfig:
     def test_defaults(self):
         cfg = BackupConfig()
-        assert cfg.steps == 8 and cfg.batched and cfg.engine == "engine"
+        assert cfg.steps == 8 and cfg.pages_per_tick == 8 and cfg.batched
 
     def test_frozen(self):
         cfg = BackupConfig()
@@ -38,73 +42,104 @@ class TestBackupConfig:
             BackupConfig(steps=0)
         with pytest.raises(ReproError):
             BackupConfig(pages_per_tick=0)
-        with pytest.raises(ReproError):
-            BackupConfig(engine="tape")
-        with pytest.raises(ReproError):
-            BackupConfig(incremental=True, engine="naive")
 
 
-    def test_one_sweep_thread_one_log_one_replay_loop(self):
-        """No knob selects a sweep pool, a striped log or parallel
-        redo: the config has exactly these ten fields, and neither it
-        nor ``Database`` accepts the removed ones."""
-        import dataclasses
+class TestSingleSurface:
+    """Each backup knob is set in one place, each ``Database``
+    capability is reached one way."""
 
+    def test_config_holds_only_backup_knobs(self):
         assert [f.name for f in dataclasses.fields(BackupConfig)] == [
             "steps", "pages_per_tick", "incremental", "dynamic_extend",
-            "batched", "engine", "backend", "data_dir",
-            "incremental_every", "compact_threshold",
+            "batched", "incremental_every", "compact_threshold",
         ]
-        for knob in ("workers", "log_streams", "redo_workers"):
+        for knob in ("engine", "backend", "data_dir", "workers",
+                     "log_streams", "redo_workers"):
             with pytest.raises(TypeError):
-                BackupConfig(**{knob: 2})
+                BackupConfig(**{knob: "x"})
+
+    def test_database_takes_no_storage_or_faults_parameter(self):
+        assert list(inspect.signature(Database).parameters) == [
+            "pages_per_partition", "policy", "initial_value",
+            "auto_force_log", "tracer", "backend", "data_dir",
+        ]
+        for knob in ("storage", "faults", "workers", "log_streams",
+                     "redo_workers"):
             with pytest.raises(TypeError):
-                Database(pages_per_partition=[4], **{knob: 2})
+                Database(pages_per_partition=[4], **{knob: None})
+
+    def test_backup_calls_take_only_a_config(self):
+        db = seeded_db()
+        with pytest.raises(TypeError):
+            db.start_backup(steps=2)
+        with pytest.raises(ReproError):
+            db.start_backup(2)
+        db.start_backup(BackupConfig(steps=2))
+        with pytest.raises(TypeError):
+            db.run_backup(pages_per_tick=4)
+        with pytest.raises(ReproError):
+            db.run_backup(4)
+        backup = db.run_backup(BackupConfig(pages_per_tick=4))
+        assert backup.is_complete and db.latest_backup() is backup
+
+    def test_faults_attach_one_way(self):
+        db = seeded_db()
+        with pytest.raises(AttributeError):
+            db.stable.faults = FaultPlane()
+        plane = db.attach_faults(FaultPlane())
+        assert db.stable.faults is plane
+
+    def test_caller_built_naive_dump_is_not_the_databases_backup(self):
+        db = seeded_db()
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(4)
+        assert not db.backup_in_progress()
+        backup = naive.run_to_completion()
+        assert backup.is_complete
+        assert db.latest_backup() is None
+
+    def test_caller_built_naive_dump_does_not_span_a_crash(self):
+        db = seeded_db()
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(4)
+        db.crash()
+        db.recover()
+        assert not db.backup_in_progress()
+        assert db.latest_backup() is None
+        db.start_backup(BackupConfig(steps=2))
+        backup = db.run_backup(BackupConfig(pages_per_tick=4))
+        assert db.latest_backup() is backup
+
+    def test_caller_built_linked_flush_is_synchronous(self):
+        db = seeded_db()
+        backup = LinkedFlushBackup(db.cm, storage=db.storage).run()
+        assert backup.is_complete
+        assert not db.backup_in_progress()
+        assert db.latest_backup() is None
+
+    def test_each_policy_has_one_name(self):
+        for name in ("general", "tree", "page-oriented"):
+            assert Database(pages_per_partition=[4],
+                            policy=name).cm.policy.name == name
+        with pytest.raises(ReproError):
+            Database(pages_per_partition=[4], policy="page")
+
+    def test_recovery_outcome_has_one_name_per_count(self):
+        db = seeded_db()
+        db.crash()
+        outcome = db.recover()
+        assert isinstance(outcome.replayed, int)
+        assert not hasattr(outcome, "redone")
+        assert not hasattr(outcome, "outcome")
 
 
 class TestStartBackupAPI:
     def test_config_object_accepted(self):
         db = seeded_db()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            db.start_backup(BackupConfig(steps=2))
-            backup = db.run_backup(BackupConfig(pages_per_tick=4))
-        assert backup.is_complete
-
-    def test_legacy_kwargs_warn_but_work(self):
-        db = seeded_db()
-        with pytest.warns(DeprecationWarning):
-            db.start_backup(steps=2)
-        with pytest.warns(DeprecationWarning):
-            backup = db.run_backup(pages_per_tick=4)
-        assert backup.is_complete
-
-    def test_legacy_positional_int(self):
-        db = seeded_db()
-        with pytest.warns(DeprecationWarning):
-            db.start_backup(2)
-        assert db.backup_in_progress()
-
-    def test_mixing_config_and_legacy_rejected(self):
-        db = seeded_db()
-        with pytest.raises(ReproError):
-            db.start_backup(BackupConfig(), steps=4)
-
-    def test_naive_engine_dispatch(self):
-        db = seeded_db()
-        db.start_backup(BackupConfig(steps=2, engine="naive"))
-        assert db.backup_in_progress()
-        backup = db.run_backup(BackupConfig(pages_per_tick=4,
-                                            engine="naive"))
-        assert backup.is_complete
-        assert db.latest_backup() is backup
-        assert db.naive.completed[-1] is backup
-
-    def test_linked_engine_is_synchronous(self):
-        db = seeded_db()
-        with pytest.raises(ReproError):
-            db.start_backup(BackupConfig(engine="linked"))
-        backup = db.run_backup(BackupConfig(engine="linked"))
+        db.start_backup(BackupConfig(steps=2))
+        backup = db.run_backup(BackupConfig(pages_per_tick=4))
         assert backup.is_complete
 
     def test_incremental_via_config(self):
@@ -149,14 +184,6 @@ class TestUnifiedRecoveryOutcome:
         assert result.kind == "selective"
         assert result.analysis is not None
         assert result.analysis.directly_corrupt
-
-    def test_redone_alias_and_outcome_shim(self):
-        db = seeded_db()
-        db.crash()
-        outcome = db.recover()
-        assert outcome.redone == outcome.replayed
-        with pytest.warns(DeprecationWarning):
-            assert outcome.outcome is outcome
 
     def test_faults_survived_defaults_zero(self):
         db = seeded_db()

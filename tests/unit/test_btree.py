@@ -82,7 +82,7 @@ class TestSplits:
     def test_page_logging_mode_equivalent(self):
         results = {}
         for mode in ("tree", "page"):
-            db = Database(pages_per_partition=[128], policy="page")
+            db = Database(pages_per_partition=[128], policy="page-oriented")
             tree = BTree(db, order=4, logging=mode).create()
             rng = random.Random(9)
             keys = list(range(100))

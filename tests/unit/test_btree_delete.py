@@ -6,6 +6,7 @@ import pytest
 
 from repro.btree import BTree, BTreeBorrow, BTreeMergeInto
 from repro.btree.ops import node_value
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import OperationError
 from repro.ids import PageId
@@ -132,7 +133,7 @@ class TestDeleteRecovery:
         rng = random.Random(4)
         for key in range(80):
             tree.insert(key, key)
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         doomed = iter(rng.sample(range(80), 60))
         while db.backup_in_progress():
             db.backup_step(8)

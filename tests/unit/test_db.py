@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import NoBackupError, ReproError
 from repro.ids import PageId
@@ -15,8 +16,9 @@ def pid(slot):
 
 class TestConstruction:
     def test_policy_by_name(self):
-        for name in ("general", "tree", "page", "page-oriented"):
-            Database(pages_per_partition=[8], policy=name)
+        for name in ("general", "tree", "page-oriented"):
+            db = Database(pages_per_partition=[8], policy=name)
+            assert db.cm.policy.name == name
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ReproError):
@@ -78,7 +80,7 @@ class TestCrashRecovery:
 
     def test_crash_aborts_active_backup(self):
         db = Database(pages_per_partition=[8])
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         db.crash()
         assert not db.backup_in_progress()
         assert db.latest_backup() is None
@@ -103,7 +105,7 @@ class TestMediaRecovery:
         db = Database(pages_per_partition=[8])
         db.execute(PhysicalWrite(pid(0), "before"))
         db.checkpoint()
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         target = db.log.end_lsn
         db.execute(PhysicalWrite(pid(0), "after"))
@@ -118,7 +120,7 @@ class TestMediaRecovery:
 
         db = Database(pages_per_partition=[8])
         db.execute(PhysicalWrite(pid(0), "v"))
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         db.media_failure()
         with pytest.raises(RecoveryError):

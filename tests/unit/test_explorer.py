@@ -2,6 +2,7 @@
 
 import math
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
@@ -38,7 +39,7 @@ class TestExplorer:
 
             def finish(database):
                 database.checkpoint()
-                database.start_backup(steps=2)
+                database.start_backup(BackupConfig(steps=2))
                 return database.run_backup()
 
             return db, [track, [lambda: None]], finish

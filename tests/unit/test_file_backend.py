@@ -192,9 +192,7 @@ class TestSealedBackupByteIdentity:
         db = Database(pages_per_partition=[8, 8, 8, 8], policy="general",
                       backend=backend, data_dir=data_dir)
         source = mixed_logical_workload(db.layout, seed=11, count=40)
-        cfg = BackupConfig(steps=4, batched=True, backend=backend,
-                           data_dir=data_dir if backend == "file" else None)
-        db.start_backup(cfg)
+        db.start_backup(BackupConfig(steps=4, batched=True))
         while db.backup_in_progress():
             db.backup_step(16)
             op = next(source, None)

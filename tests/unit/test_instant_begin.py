@@ -25,9 +25,9 @@ from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
 from repro.ops.physiological import PhysiologicalWrite
+from repro.storage import BACKENDS
 from repro.workloads import mixed_logical_workload
 
-BACKENDS = ["memory", "file"]
 PROBE = PageId(1, 3)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.errors import ReproError
 from repro.kvstore import KVStore
 
@@ -119,7 +120,7 @@ class TestKVDurability:
     def test_backup_and_media_restore(self, store):
         for key in range(30):
             store.put(key, key)
-        store.online_backup(steps=4)
+        store.online_backup(BackupConfig(steps=4))
         for key in range(30, 50):
             store.put(key, key)  # after the backup: on the media log
         store.simulate_media_failure()
@@ -130,9 +131,11 @@ class TestKVDurability:
     def test_incremental_backup(self, store):
         for key in range(20):
             store.put(key, key)
-        store.online_backup(steps=4)
+        store.online_backup(BackupConfig(steps=4))
         store.put(99, "late")
-        incremental = store.online_backup(steps=4, incremental=True)
+        incremental = store.online_backup(
+            BackupConfig(steps=4, incremental=True)
+        )
         assert incremental.copied_count() < 20
         store.simulate_media_failure()
         outcome = store.db.media_recover_chain()
@@ -150,7 +153,7 @@ class TestKVDurability:
         rng = random.Random(2)
         for key in range(40):
             store.put(key, key)
-        store.db.start_backup(steps=8)
+        store.db.start_backup(BackupConfig(steps=8))
         key = 100
         while store.db.backup_in_progress():
             store.db.backup_step(4)

@@ -1,5 +1,7 @@
 """Unit tests for the log manager and WAL rule."""
 
+import json
+
 import pytest
 
 from repro.errors import LogTruncatedError, WALViolationError
@@ -31,10 +33,10 @@ class TestAppend:
     def test_manual_force(self):
         log = LogManager(auto_force=False)
         log.append(wp(0))
-        log.append(wp(1))
         assert log.flushed_lsn == 0
-        log.force(1)
+        log.force()
         assert log.flushed_lsn == 1
+        log.append(wp(1))
         log.force()
         assert log.flushed_lsn == 2
 
@@ -42,7 +44,7 @@ class TestAppend:
         log = LogManager(auto_force=False)
         log.append(wp(0))
         log.force()
-        log.force(0)
+        log.force()
         assert log.flushed_lsn == 1
 
     def test_append_listener_invoked(self):
@@ -80,18 +82,6 @@ class TestWAL:
         log.force()
         log.assert_wal(PageId(0, 0), record.lsn)
 
-    def test_force_up_to_sets_the_exact_frontier(self):
-        log = LogManager(auto_force=False)
-        for i in range(6):
-            log.append(wp(i))
-        log.force(up_to=4)
-        assert log.flushed_lsn == 4
-        log.assert_wal(PageId(0, 3), 4)
-        with pytest.raises(WALViolationError):
-            log.assert_wal(PageId(0, 4), 5)
-        log.force(up_to=99)  # clamped to the end of the log
-        assert log.flushed_lsn == log.end_lsn == 6
-
 
 class TestScan:
     def test_scan_range(self):
@@ -104,9 +94,8 @@ class TestScan:
     def test_durable_scan_stops_at_flushed(self):
         log = LogManager(auto_force=False)
         log.append(wp(0))
+        log.force()
         log.append(wp(1))
-        log.force(1)
-        log.append(wp(2))
         assert [r.lsn for r in log.durable_scan()] == [1]
 
     def test_record_at(self):
@@ -133,7 +122,8 @@ class TestScan:
         log = LogManager(auto_force=False)
         for i in range(10):
             log.append(wp(i % 3, ("old", i)))
-        log.force(up_to=6)
+            if i == 5:
+                log.force()
         log.discard_unflushed()
         fresh = [log.append(wp(0, ("new", i))) for i in range(3)]
         assert [r.lsn for r in fresh] == [7, 8, 9]
@@ -208,17 +198,46 @@ class _CountingDevice:
 
 
 class TestDevice:
+    def test_force_takes_no_frontier(self):
+        log = LogManager(auto_force=False)
+        log.append(wp(0))
+        log.append(wp(1))
+        with pytest.raises(TypeError):
+            log.force(1)
+        assert log.flushed_lsn == 0
+
+    def test_file_log_holds_each_lsn_once_across_a_crash(self, tmp_path):
+        from repro.storage.file_backend import FileLogDevice
+
+        log = LogManager(auto_force=False)
+        device = log.attach_device(FileLogDevice(str(tmp_path / "wal")))
+        for i in range(3):
+            log.append(wp(i, ("old", i)))
+        log.force()
+        log.append(wp(3, ("lost", 3)))
+        log.append(wp(4, ("lost", 4)))
+        assert log.discard_unflushed() == 2
+        for i in range(2):
+            log.append(wp(i, ("new", i)))
+        log.force()
+        device.close()
+        with open(device.path) as f:
+            specs = [json.loads(line) for line in f]
+        assert [spec["lsn"] for spec in specs] == [1, 2, 3, 4, 5]
+        assert "lost" not in json.dumps(specs)
+
     def test_one_sync_per_force_that_advances_the_frontier(self):
         log = LogManager(auto_force=False)
         device = _CountingDevice()
         log.attach_device(device)
-        for i in range(4):
-            log.append(wp(i))
-        assert device.appended == [1, 2, 3, 4]
-        log.force(up_to=2)
-        log.force(up_to=2)
-        log.force(up_to=1)
+        log.append(wp(0))
+        log.append(wp(1))
+        log.force()
+        log.force()
         assert device.syncs == 1
+        log.append(wp(2))
+        log.append(wp(3))
+        assert device.appended == [1, 2, 3, 4]
         log.force()
         log.force()
         assert device.syncs == 2
@@ -255,12 +274,13 @@ class TestTailEvents:
         log = LogManager(auto_force=False)
         for i in range(20):
             log.append(wp(i % 8, i))
+            if i == 9:
+                log.force()
         log.append(wp(3), RecordFlag.CM_INJECTED | RecordFlag.IWOF)
         assert log.stats.records == log.count() == 21
         assert log.stats.iwof_records == log.iwof_count() == 1
         assert log.stats.cm_injected == 1
         assert log.bytes_logged() == sum(r.size_bytes for r in log.scan())
-        log.force(up_to=10)
         assert log.discard_unflushed() == 11
         assert log.stats.records == log.count() == log.end_lsn == 10
         assert log.stats.iwof_records == 0
@@ -272,7 +292,8 @@ class TestTailEvents:
         log.tracer = Tracer()
         for i in range(40):
             log.append(wp(i % 8, i))
-        log.force(up_to=25)
+            if i == 24:
+                log.force()
         lost = log.discard_unflushed()
         events = log.tracer.find("log_tail_lost")
         assert len(events) == 1

@@ -13,6 +13,7 @@ from repro.btree.ops import (
     BTreeSplitMove,
     BTreeSplitRemove,
 )
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import LogError
 from repro.ids import PageId
@@ -175,8 +176,8 @@ class TestLogRoundtrip:
         from repro.storage.archive import load_backup, save_backup
 
         db = self._busy_db()
-        db.start_backup(steps=4)
-        db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=4))
+        db.run_backup(BackupConfig(pages_per_tick=16))
         from repro.workloads import mixed_logical_workload
 
         for op in mixed_logical_workload(db.layout, seed=7, count=30):

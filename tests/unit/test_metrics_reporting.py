@@ -1,8 +1,7 @@
-"""Metrics-reporting bugfix regressions: snapshot coverage, the phantom
-step-0 bug in ``record_decision``, and DeprecationWarning stacklevels."""
+"""Metrics-reporting bugfix regressions: snapshot coverage and the
+phantom step-0 bug in ``record_decision``."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
-from repro.recovery.explain import RecoveryOutcome
 from repro.sim.metrics import Metrics
 
 
@@ -91,34 +89,3 @@ class TestStepAttribution:
         assert 0 not in db.metrics.decisions_by_step
         assert 0 not in db.metrics.iwof_by_step
         assert all(step >= 1 for step in db.metrics.step_fractions())
-
-
-class TestDeprecationStacklevels:
-    """The warnings must blame the *caller's* line, not the library."""
-
-    def test_legacy_backup_kwargs_warning_points_at_caller(self):
-        db = Database(pages_per_partition=[16])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.start_backup(steps=2)
-            warning = caught[0]
-        assert issubclass(warning.category, DeprecationWarning)
-        assert warning.filename == __file__
-
-    def test_run_backup_legacy_kwarg_warning_points_at_caller(self):
-        db = Database(pages_per_partition=[16])
-        db.execute(PhysicalWrite(PageId(0, 0), ("x",)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.start_backup(BackupConfig(steps=1))
-            db.run_backup(pages_per_tick=64)
-            warning = caught[0]
-        assert issubclass(warning.category, DeprecationWarning)
-        assert warning.filename == __file__
-
-    def test_outcome_shim_warning_points_at_caller(self):
-        outcome = RecoveryOutcome(state={}, replayed=0, skipped=0,
-                                  poisoned=[])
-        with pytest.warns(DeprecationWarning) as caught:
-            assert outcome.outcome is outcome
-        assert caught[0].filename == __file__

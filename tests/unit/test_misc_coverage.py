@@ -94,7 +94,7 @@ class TestKVStoreExtras:
 
         store = KVStore.create(capacity_pages=64)
         store.put(1, "x")
-        backup = store.online_backup(steps=2)
+        backup = store.online_backup(BackupConfig(steps=2))
         # Sabotage: wipe the image AND push the scan start past the
         # history so roll-forward cannot regenerate it.
         backup._versions.clear()

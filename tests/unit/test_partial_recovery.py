@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.core.partial_recovery import (
     check_partition_confinement,
     run_partition_media_recovery,
@@ -23,8 +24,8 @@ def db():
                 PhysicalWrite(PageId(partition, slot), ("v", partition, slot))
             )
     database.checkpoint()
-    database.start_backup(steps=2)
-    database.run_backup(pages_per_tick=16)
+    database.start_backup(BackupConfig(steps=2))
+    database.run_backup(BackupConfig(pages_per_tick=16))
     return database
 
 
@@ -91,8 +92,8 @@ class TestPartitionRecovery:
                     PhysicalWrite(PageId(partition, slot), (partition, slot))
                 )
         db3.checkpoint()
-        db3.start_backup(steps=2)
-        db3.run_backup(pages_per_tick=8)
+        db3.start_backup(BackupConfig(steps=2))
+        db3.run_backup(BackupConfig(pages_per_tick=8))
         db3.execute(CopyOp(PageId(0, 0), PageId(1, 5)))  # spans 0 and 1
         db3.execute(PhysiologicalWrite(PageId(2, 2), "stamp", ("x",)))
         db3.checkpoint()
@@ -106,7 +107,7 @@ class TestPartitionRecovery:
             db2.recover_partition(1)
 
     def test_incomplete_backup_rejected(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         run = db.engine.active
         with pytest.raises(NoBackupError):
             run_partition_media_recovery(

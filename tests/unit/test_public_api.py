@@ -5,6 +5,7 @@ import doctest
 import repro
 import repro.core.config
 import repro.db
+import repro.kvstore
 
 
 class TestPublicSurface:
@@ -39,5 +40,10 @@ class TestPublicSurface:
 
     def test_db_doctest(self):
         failures, tested = doctest.testmod(repro.db, verbose=False)
+        assert tested > 0
+        assert failures == 0
+
+    def test_kvstore_doctest(self):
+        failures, tested = doctest.testmod(repro.kvstore, verbose=False)
         assert tested > 0
         assert failures == 0

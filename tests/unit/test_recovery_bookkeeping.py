@@ -27,6 +27,7 @@ from repro.ops.logical import CopyOp
 from repro.ops.physical import PhysicalWrite
 from repro.ops.physiological import PhysiologicalWrite
 from repro.recovery import pipeline, redo
+from repro.storage import BACKENDS
 from repro.storage.file_backend import FileLogDevice, FileStableDatabase
 from repro.storage.layout import Layout
 from repro.storage.page import PageVersion
@@ -34,8 +35,6 @@ from repro.storage.stable_db import StableDatabase
 from repro.wal.log_manager import LogManager
 from repro.wal.serialize import record_checksum
 from tests.conftest import fixed_tail_db
-
-BACKENDS = ["memory", "file"]
 
 
 def make_log(backend, tmp_path):

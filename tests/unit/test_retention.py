@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import LogTruncatedError, NoBackupError
 from repro.ids import PageId
@@ -52,7 +53,7 @@ class TestRetentionPolicy:
     def test_backup_pins_its_scan_start(self, db):
         db.execute(PhysicalWrite(pid(0), "dirty"))   # pins via recLSN too
         db.flush_page(pid(0))
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         assert (
             db.retention.safe_truncation_point()
@@ -60,7 +61,7 @@ class TestRetentionPolicy:
         )
 
     def test_truncation_respects_backup_then_recovery_works(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         db.execute(PhysicalWrite(pid(3), "post"))
         db.flush_page(pid(3))
@@ -69,11 +70,11 @@ class TestRetentionPolicy:
         assert db.media_recover(backup=backup).ok
 
     def test_retiring_backup_releases_its_pin(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         first = db.run_backup()
         db.execute(PhysicalWrite(pid(0), "between"))
         db.flush_page(pid(0))
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         second = db.run_backup()
         before = db.retention.safe_truncation_point()
         db.retire_backup(first)
@@ -82,11 +83,11 @@ class TestRetentionPolicy:
         assert after == second.media_scan_start_lsn
 
     def test_retired_backup_is_unusable_after_truncation(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         first = db.run_backup()
         db.execute(PhysicalWrite(pid(0), "between"))
         db.flush_page(pid(0))
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         second = db.run_backup()
         db.retire_backup(first)
         db.truncate_log()
@@ -95,7 +96,7 @@ class TestRetentionPolicy:
         assert db.retention.latest_usable_backup() is second
 
     def test_no_usable_backup_raises(self, db):
-        db.start_backup(steps=2)
+        db.start_backup(BackupConfig(steps=2))
         backup = db.run_backup()
         db.retire_backup(backup)
         with pytest.raises(NoBackupError):
@@ -106,7 +107,7 @@ class TestRetentionPolicy:
         assert db.retention.safe_truncation_point() <= record.lsn
 
     def test_active_backup_pins_the_log(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         run = db.engine.active
         db.backup_step(4)
         assert (

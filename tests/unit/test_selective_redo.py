@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.errors import RecoveryError
 from repro.ids import PageId
@@ -82,8 +83,8 @@ def db():
             PhysicalWrite(pid(slot), ("clean", slot)), source="app"
         )
     database.checkpoint()
-    database.start_backup(steps=2)
-    database.run_backup(pages_per_tick=16)
+    database.start_backup(BackupConfig(steps=2))
+    database.run_backup(BackupConfig(pages_per_tick=16))
     return database
 
 
@@ -94,7 +95,7 @@ class TestSelectiveRecovery:
             PhysiologicalWrite(pid(2), "stamp", ("good",)), source="app"
         )
         result = db.selective_recover("intruder")
-        assert result.outcome.ok
+        assert result.ok
         assert db.read(pid(1)) == ("clean", 1)
         assert db.read(pid(2))[1] == "good"
 
@@ -103,7 +104,7 @@ class TestSelectiveRecovery:
         db.execute(CopyOp(pid(1), pid(20)), source="app")
         result = db.selective_recover("intruder")
         assert result.analysis.collateral
-        assert result.outcome.ok
+        assert result.ok
         assert db.read(pid(20)) is None
 
     def test_no_corruption_recovers_everything(self, db):
@@ -112,7 +113,7 @@ class TestSelectiveRecovery:
         )
         result = db.selective_recover("ghost")
         assert result.analysis.excluded == set()
-        assert result.outcome.ok
+        assert result.ok
         # Identical to ordinary media recovery in this case.
         assert db.read(pid(0))[1] == "x"
 
@@ -120,8 +121,8 @@ class TestSelectiveRecovery:
         """Corruption before the backup completed may be in the image."""
         db.execute(PhysicalWrite(pid(1), "OLD-GARBAGE"), source="intruder")
         db.checkpoint()
-        db.start_backup(steps=2)
-        late_backup = db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=2))
+        late_backup = db.run_backup(BackupConfig(pages_per_tick=16))
         with pytest.raises(RecoveryError):
             db.selective_recover("intruder", backup=late_backup)
 
@@ -129,10 +130,10 @@ class TestSelectiveRecovery:
         first = db.latest_backup()
         db.execute(PhysicalWrite(pid(1), "GARBAGE"), source="intruder")
         db.checkpoint()
-        db.start_backup(steps=2)
-        db.run_backup(pages_per_tick=16)
+        db.start_backup(BackupConfig(steps=2))
+        db.run_backup(BackupConfig(pages_per_tick=16))
         result = db.selective_recover("intruder", backup=first)
-        assert result.outcome.ok
+        assert result.ok
         assert db.read(pid(1)) == ("clean", 1)
 
     def test_database_usable_after_selective_recovery(self, db):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.logical import CopyOp
@@ -128,7 +129,9 @@ class TestInterleavedRun:
     def test_run_completes_backup(self):
         db = Database(pages_per_partition=[64], policy="general")
         workload = page_oriented_workload(db.layout, seed=1, count=None)
-        run = InterleavedRun(db, workload, backup_steps=4)
+        run = InterleavedRun(
+            db, workload, backup=BackupConfig(steps=4, pages_per_tick=4)
+        )
         result = run.run(max_ticks=1000)
         assert result.backup is not None
         assert result.backup.is_complete

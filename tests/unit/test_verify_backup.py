@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.config import BackupConfig
+from repro.core.naive_backup import NaiveFuzzyDump
 from repro.db import Database
 from repro.ids import PageId
 from repro.ops.physical import PhysicalWrite
@@ -24,7 +26,7 @@ def db():
 
 class TestCleanBackups:
     def test_engine_backup_validates(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.run_backup()
         report = db.validate_backup()
         assert report.ok, report.findings
@@ -34,7 +36,7 @@ class TestCleanBackups:
         old, new = pid(20), pid(2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(8))))
         db.checkpoint()
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.backup_step(5)
         db.execute(MovRec(old, 3, new))
         db.execute(RmvRec(old, 3))
@@ -44,7 +46,7 @@ class TestCleanBackups:
         assert report.ok, report.findings
 
     def test_summary_format(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.run_backup()
         summary = db.validate_backup().summary()
         assert "OK" in summary
@@ -57,18 +59,19 @@ class TestBrokenBackups:
         old, new = pid(20), pid(2)
         db.execute(PhysicalWrite(old, tuple((k, k) for k in range(8))))
         db.checkpoint()
-        db.naive.start_backup()
-        db.naive.copy_some(5)
+        naive = NaiveFuzzyDump(db.cm, storage=db.storage)
+        naive.start_backup()
+        naive.copy_some(5)
         db.execute(MovRec(old, 3, new))
         db.execute(RmvRec(old, 3))
         db.checkpoint()
-        backup = db.naive.run_to_completion()
+        backup = naive.run_to_completion()
         report = db.validate_backup(backup=backup)
         assert not report.ok
         assert any(f.code == "order-violation" for f in report.findings)
 
     def test_incomplete_backup_flagged(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         run = db.engine.active
         report = db.validate_backup(backup=run.backup)
         assert not report.ok
@@ -76,12 +79,12 @@ class TestBrokenBackups:
         db.run_backup()
 
     def test_truncated_log_flagged(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         backup = db.run_backup()
         db.execute(PhysiologicalWrite(pid(0), "stamp", ("x",)))
         db.flush_page(pid(0))
         db.retire_backup(backup)
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.run_backup()
         db.truncate_log()
         report = db.validate_backup(backup=backup)
@@ -91,20 +94,20 @@ class TestBrokenBackups:
 
 class TestIncrementalValidation:
     def test_incremental_warns_without_base(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         db.run_backup()
         db.execute(PhysiologicalWrite(pid(3), "stamp", ("x",)))
-        db.start_backup(steps=4, incremental=True)
+        db.start_backup(BackupConfig(steps=4, incremental=True))
         incremental = db.run_backup()
         report = db.validate_backup(backup=incremental)
         assert report.ok  # warning, not fatal
         assert any(f.code == "needs-base" for f in report.findings)
 
     def test_incremental_with_base_chain_validates(self, db):
-        db.start_backup(steps=4)
+        db.start_backup(BackupConfig(steps=4))
         full = db.run_backup()
         db.execute(PhysiologicalWrite(pid(3), "stamp", ("x",)))
-        db.start_backup(steps=4, incremental=True)
+        db.start_backup(BackupConfig(steps=4, incremental=True))
         incremental = db.run_backup()
         report = db.validate_backup(
             backup=incremental, base_chain=[full]
